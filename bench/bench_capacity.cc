@@ -21,7 +21,8 @@ void BM_MembershipPositive(benchmark::State& state) {
   for (auto _ : state) {
     // A fresh oracle (and engine) per iteration: this series measures the
     // cold search, not the verdict cache (see the WarmEngine variant).
-    CapacityOracle oracle(view);
+    Engine engine(&schema->catalog);
+    CapacityOracle oracle(&engine, view);
     MembershipResult m = oracle.Contains(query).value();
     if (!m.member) state.SkipWithError("expected member");
     tried = m.candidates_tried;
@@ -47,7 +48,7 @@ void BM_MembershipPositiveWarmEngine(benchmark::State& state) {
     if (!m.member) state.SkipWithError("expected member");
     benchmark::DoNotOptimize(m);
   }
-  EngineStats stats = engine.Stats();
+  EngineStats stats = engine.StatsSnapshot();
   state.counters["verdict_hits"] = static_cast<double>(stats.verdict.hits());
 }
 BENCHMARK(BM_MembershipPositiveWarmEngine)
@@ -63,7 +64,8 @@ void BM_MembershipNegative(benchmark::State& state) {
   ExprPtr query = Expr::Rel(schema->catalog, schema->relations[0]);
   std::size_t tried = 0;
   for (auto _ : state) {
-    CapacityOracle oracle(view);
+    Engine engine(&schema->catalog);
+    CapacityOracle oracle(&engine, view);
     MembershipResult m = oracle.Contains(query).value();
     if (m.member) state.SkipWithError("expected non-member");
     tried = m.candidates_tried;
@@ -87,7 +89,8 @@ void BM_MembershipNegativeParallel(benchmark::State& state) {
   ExprPtr query = Expr::Rel(schema->catalog, schema->relations[0]);
   std::size_t tried = 0;
   for (auto _ : state) {
-    CapacityOracle oracle(view, limits);
+    Engine engine(&schema->catalog);
+    CapacityOracle oracle(&engine, view, limits);
     MembershipResult m = oracle.Contains(query).value();
     if (m.member) state.SkipWithError("expected non-member");
     tried = m.candidates_tried;
@@ -119,7 +122,7 @@ void BM_MembershipNegativeParallelWarmEngine(benchmark::State& state) {
     if (m.member) state.SkipWithError("expected non-member");
     benchmark::DoNotOptimize(m);
   }
-  EngineStats stats = engine.Stats();
+  EngineStats stats = engine.StatsSnapshot();
   state.counters["verdict_hits"] = static_cast<double>(stats.verdict.hits());
   state.counters["threads"] = static_cast<double>(limits.threads);
 }
@@ -138,8 +141,9 @@ void BM_MembershipExtraLeaves(benchmark::State& state) {
   View join_view = MakeJoinView(*schema, "jn");
   std::size_t tried = 0;
   for (auto _ : state) {
-    CapacityOracle join_oracle(&schema->catalog,
-                               QuerySet::FromView(join_view), limits);
+    Engine engine(&schema->catalog);
+    CapacityOracle join_oracle(&engine, QuerySet::FromView(join_view),
+                               limits);
     MembershipResult m = join_oracle.Contains(query).value();
     tried = m.candidates_tried;
     benchmark::DoNotOptimize(m);
@@ -153,7 +157,8 @@ BENCHMARK(BM_MembershipExtraLeaves)->DenseRange(0, 3)->Unit(benchmark::kMillisec
 void BM_FindConstructions(benchmark::State& state) {
   auto schema = MakeChain(2);
   View view = MakeLinkView(*schema, "lk");
-  CapacityOracle oracle(view);
+  Engine engine(&schema->catalog);
+  CapacityOracle oracle(&engine, view);
   SymbolPool pool;
   Tableau query =
       BuildTableau(schema->catalog, schema->universe, *ChainJoin(*schema),

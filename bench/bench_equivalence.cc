@@ -15,15 +15,16 @@ void BM_EquivalentViews(benchmark::State& state) {
   View v = MakeLinkView(*schema, "lv");
   View w = MakeLinkView(*schema, "lw");
   for (auto _ : state) {
-    EquivalenceResult eq = AreEquivalent(v, w).value();
+    Engine engine(&schema->catalog);
+    EquivalenceResult eq = AreEquivalent(engine, v, w).value();
     if (!eq.equivalent) state.SkipWithError("expected equivalent");
     benchmark::DoNotOptimize(eq);
   }
 }
 BENCHMARK(BM_EquivalentViews)->DenseRange(2, 6)->Unit(benchmark::kMillisecond);
 
-// The same question against a shared engine: the legacy overload above
-// builds a fresh engine per call (cold), while here every iteration after
+// The same question against a shared engine: the series above builds a
+// fresh engine per iteration (cold), while here every iteration after
 // the first is answered from the verdict cache — the repeated-analysis
 // path the analyzer and linter run on.
 void BM_EquivalentViewsWarmEngine(benchmark::State& state) {
@@ -37,7 +38,7 @@ void BM_EquivalentViewsWarmEngine(benchmark::State& state) {
     if (!eq.equivalent) state.SkipWithError("expected equivalent");
     benchmark::DoNotOptimize(eq);
   }
-  EngineStats stats = engine.Stats();
+  EngineStats stats = engine.StatsSnapshot();
   state.counters["verdict_hits"] = static_cast<double>(stats.verdict.hits());
 }
 BENCHMARK(BM_EquivalentViewsWarmEngine)
@@ -52,7 +53,9 @@ void BM_InequivalentViews(benchmark::State& state) {
   View links_view = MakeLinkView(*schema, "lv");
   View join_view = MakeJoinView(*schema, "jv");
   for (auto _ : state) {
-    EquivalenceResult eq = AreEquivalent(links_view, join_view).value();
+    Engine engine(&schema->catalog);
+    EquivalenceResult eq =
+        AreEquivalent(engine, links_view, join_view).value();
     if (eq.equivalent) state.SkipWithError("expected inequivalent");
     benchmark::DoNotOptimize(eq);
   }
@@ -70,8 +73,9 @@ void BM_InequivalentViewsParallel(benchmark::State& state) {
   View links_view = MakeLinkView(*schema, "lv");
   View join_view = MakeJoinView(*schema, "jv");
   for (auto _ : state) {
+    Engine engine(&schema->catalog);
     EquivalenceResult eq =
-        AreEquivalent(links_view, join_view, limits).value();
+        AreEquivalent(engine, links_view, join_view, limits).value();
     if (eq.equivalent) state.SkipWithError("expected inequivalent");
     benchmark::DoNotOptimize(eq);
   }
@@ -99,7 +103,7 @@ void BM_InequivalentViewsParallelWarmEngine(benchmark::State& state) {
     if (eq.equivalent) state.SkipWithError("expected inequivalent");
     benchmark::DoNotOptimize(eq);
   }
-  EngineStats stats = engine.Stats();
+  EngineStats stats = engine.StatsSnapshot();
   state.counters["verdict_hits"] = static_cast<double>(stats.verdict.hits());
   state.counters["threads"] = static_cast<double>(limits.threads);
 }
@@ -115,7 +119,8 @@ void BM_DominancePositive(benchmark::State& state) {
   View links_view = MakeLinkView(*schema, "lv");
   View join_view = MakeJoinView(*schema, "jv");
   for (auto _ : state) {
-    DominanceResult dom = Dominates(links_view, join_view).value();
+    Engine engine(&schema->catalog);
+    DominanceResult dom = Dominates(engine, links_view, join_view).value();
     if (!dom.dominates) state.SkipWithError("expected dominance");
     benchmark::DoNotOptimize(dom);
   }
@@ -142,7 +147,8 @@ void BM_Example315(benchmark::State& state) {
   View w =
       View::Create(&catalog, base, {{l1, pab}, {l2, pbc}}, "W").value();
   for (auto _ : state) {
-    EquivalenceResult eq = AreEquivalent(v, w).value();
+    Engine engine(&catalog);
+    EquivalenceResult eq = AreEquivalent(engine, v, w).value();
     if (!eq.equivalent) state.SkipWithError("expected equivalent");
     benchmark::DoNotOptimize(eq);
   }

@@ -7,14 +7,10 @@
 // The primary entry points (BM_HomomorphismHit/Miss, BM_EquivalenceCheck)
 // now run on the flat SoA kernel; the *Legacy twins pin the retired
 // pointer-walking HomSearch for a direct series-vs-series comparison, and
-// the Kernel/Wave series isolate the engine's steady state (templates
-// lowered once, scratch reused across calls).
+// the Kernel series isolate the engine's steady state (templates lowered
+// once, scratch reused across calls).
 #include <benchmark/benchmark.h>
 
-#include <string>
-#include <vector>
-
-#include "base/simd.h"
 #include "bench/bench_util.h"
 #include "tableau/build.h"
 #include "tableau/hom_kernel.h"
@@ -196,62 +192,17 @@ void BM_HomKernelHitWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_HomKernelHitWarm)->DenseRange(2, 12, 2);
 
-// Wave evaluation: `range(0)` chain sources probed against one two-copy
-// target in a single batch, vs. the same probes as scalar calls. The per-
-// probe cost difference is the amortization RowEmbedsBatch buys the
-// enumerator's level scans and the redundancy warm-up.
-void BM_RowEmbedWave(benchmark::State& state) {
-  const std::size_t sources = static_cast<std::size_t>(state.range(0));
-  auto schema = MakeChain(6);
-  SymbolPool pool;
-  Tableau chain =
-      BuildTableau(schema->catalog, schema->universe, *ChainJoin(*schema),
-                   pool)
-          .value();
-  Tableau to =
-      JoinTableaux(schema->catalog, chain,
-                   BuildTableau(schema->catalog, schema->universe,
-                                *ChainJoin(*schema), pool)
-                       .value(),
-                   pool)
-          .value();
-  const SoaTemplate to_soa = SoaTemplate::Lower(to);
-  // Distinct prefixes of the chain as the wave's sources.
-  std::vector<SoaTemplate> lowered;
-  std::vector<const SoaTemplate*> wave;
-  for (std::size_t i = 0; i < sources; ++i) {
-    AttrSet kept{schema->attrs[i % (schema->attrs.size() - 1)],
-                 schema->attrs[i % (schema->attrs.size() - 1) + 1]};
-    lowered.push_back(SoaTemplate::Lower(
-        ProjectTableau(schema->catalog, chain, kept, pool).value()));
-  }
-  for (const SoaTemplate& soa : lowered) wave.push_back(&soa);
-  HomScratch scratch;
-  for (auto _ : state) {
-    std::vector<char> verdicts =
-        SoaSearchWave(wave, to_soa, HomMode::kRowEmbedding, scratch);
-    benchmark::DoNotOptimize(verdicts);
-  }
-  state.counters["per_probe_ns"] = benchmark::Counter(
-      static_cast<double>(sources), benchmark::Counter::kIsIterationInvariantRate |
-                                        benchmark::Counter::kInvert);
-}
-BENCHMARK(BM_RowEmbedWave)->DenseRange(4, 16, 4);
-
-// --- Candidate-filter-bound series, one copy per runnable SIMD backend.
+// --- Candidate-filter-bound series.
 //
 // Target: a two-copy chain join plus `range(0)` "broken chain" decoy
 // sets. Each set joins in, per chain relation r_i, one isolated r_i row
 // projected onto its first attribute — the decoy row's interior symbol
 // occurs in only that one row, so its occurrence signature is strictly
 // shorter than the source chain row's shared-symbol signature and the
-// row dies in the vectorized signature-length prefilter. (Row-embedding
-// mode skips the distinguished-cover stage, so signature-length kills
-// are what makes this shape filter-bound.) The filter does essentially
-// all the work and the backtracking that follows walks the two
-// surviving chain copies. The scalar-vs-simd ratio of these rows is the
-// filter speedup the SIMD backend buys (see DESIGN.md, "Vectorized
-// candidate filter").
+// row dies in the filter's signature-length check. (Row-embedding mode
+// skips the distinguished-cover check, so signature-length kills are
+// what makes this shape filter-bound.) See DESIGN.md, "Candidate
+// filter".
 
 struct FilterWorkload {
   std::unique_ptr<ChainSchema> schema;
@@ -291,11 +242,10 @@ FilterWorkload MakeFilterWorkload(std::size_t links, std::size_t decoys) {
   return w;
 }
 
-void RunFilterCandidates(benchmark::State& state, SimdBackend backend) {
+void BM_FilterCandidates(benchmark::State& state) {
   const FilterWorkload w =
       MakeFilterWorkload(10, static_cast<std::size_t>(state.range(0)));
   HomScratch scratch;
-  scratch.backend = backend;
   std::int64_t survivors = 0;
   for (auto _ : state) {
     survivors =
@@ -305,48 +255,11 @@ void RunFilterCandidates(benchmark::State& state, SimdBackend backend) {
   state.counters["survivors"] = static_cast<double>(survivors);
   state.counters["rows_to"] = static_cast<double>(w.to.num_rows());
 }
-
-void RunRowEmbedWaveFilter(benchmark::State& state, SimdBackend backend) {
-  const FilterWorkload w =
-      MakeFilterWorkload(10, static_cast<std::size_t>(state.range(0)));
-  constexpr std::size_t kWave = 16;
-  const std::vector<const SoaTemplate*> wave(kWave, &w.from);
-  HomScratch scratch;
-  scratch.backend = backend;
-  for (auto _ : state) {
-    std::vector<char> verdicts =
-        SoaSearchWave(wave, w.to, HomMode::kRowEmbedding, scratch);
-    benchmark::DoNotOptimize(verdicts);
-  }
-  state.counters["per_probe_ns"] = benchmark::Counter(
-      static_cast<double>(kWave),
-      benchmark::Counter::kIsIterationInvariantRate |
-          benchmark::Counter::kInvert);
-}
-
-// Registered per available backend at static-init time, so the series
-// is present exactly for the backends this machine can run (the JSON
-// baseline is recorded on the reference machine, which has all three).
-int RegisterFilterBackendSeries() {
-  for (const SimdBackend backend : AvailableSimdBackends()) {
-    const std::string suffix(SimdBackendName(backend));
-    benchmark::RegisterBenchmark(
-        ("BM_FilterCandidates/" + suffix).c_str(),
-        [backend](benchmark::State& state) {
-          RunFilterCandidates(state, backend);
-        })
-        ->Arg(32)
-        ->Arg(128);
-    benchmark::RegisterBenchmark(
-        ("BM_RowEmbedWaveFilter/" + suffix).c_str(),
-        [backend](benchmark::State& state) {
-          RunRowEmbedWaveFilter(state, backend);
-        })
-        ->Arg(64);
-  }
-  return 0;
-}
-const int kFilterBackendSeries = RegisterFilterBackendSeries();
+// The `scalar` segment keeps the series name the recorded baseline uses.
+BENCHMARK(BM_FilterCandidates)
+    ->Name("BM_FilterCandidates/scalar")
+    ->Arg(32)
+    ->Arg(128);
 
 }  // namespace
 }  // namespace bench

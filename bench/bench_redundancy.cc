@@ -24,7 +24,8 @@ void BM_MakeNonredundant(benchmark::State& state) {
           .value();
   std::size_t kept = 0;
   for (auto _ : state) {
-    NonredundantViewResult result = MakeNonredundant(view).value();
+    Engine engine(&schema->catalog);
+    NonredundantViewResult result = MakeNonredundant(engine, view).value();
     kept = result.view.size();
     benchmark::DoNotOptimize(result);
   }
@@ -40,8 +41,8 @@ void BM_VerifyNonredundant(benchmark::State& state) {
   View view = MakeLinkView(*schema, "lk");
   QuerySet set = QuerySet::FromView(view);
   for (auto _ : state) {
-    bool nonredundant =
-        IsNonredundantSet(&schema->catalog, set).value();
+    Engine engine(&schema->catalog);
+    bool nonredundant = IsNonredundantSet(engine, set).value();
     if (!nonredundant) state.SkipWithError("expected nonredundant");
     benchmark::DoNotOptimize(nonredundant);
   }
@@ -60,8 +61,8 @@ void BM_VerifyNonredundantParallel(benchmark::State& state) {
   View view = MakeLinkView(*schema, "lk");
   QuerySet set = QuerySet::FromView(view);
   for (auto _ : state) {
-    bool nonredundant =
-        IsNonredundantSet(&schema->catalog, set, limits).value();
+    Engine engine(&schema->catalog);
+    bool nonredundant = IsNonredundantSet(engine, set, limits).value();
     if (!nonredundant) state.SkipWithError("expected nonredundant");
     benchmark::DoNotOptimize(nonredundant);
   }
@@ -88,7 +89,7 @@ void BM_VerifyNonredundantParallelWarmEngine(benchmark::State& state) {
     if (!nonredundant) state.SkipWithError("expected nonredundant");
     benchmark::DoNotOptimize(nonredundant);
   }
-  EngineStats stats = engine.Stats();
+  EngineStats stats = engine.StatsSnapshot();
   state.counters["verdict_hits"] = static_cast<double>(stats.verdict.hits());
   state.counters["threads"] = static_cast<double>(limits.threads);
 }
@@ -103,7 +104,8 @@ void BM_SizeBound(benchmark::State& state) {
   View view = MakeLinkView(*schema, "lk");
   QuerySet set = QuerySet::FromView(view);
   for (auto _ : state) {
-    std::size_t bound = NonredundantSizeBound(schema->catalog, set);
+    Engine engine(&schema->catalog);
+    std::size_t bound = NonredundantSizeBound(engine, set);
     benchmark::DoNotOptimize(bound);
   }
 }

@@ -26,7 +26,8 @@ void BM_SimplifyExample315(benchmark::State& state) {
                .value();
   std::size_t out = 0;
   for (auto _ : state) {
-    SimplifyOutcome outcome = Simplify(&catalog, v).value();
+    Engine engine(&catalog);
+    SimplifyOutcome outcome = Simplify(engine, &catalog, v).value();
     out = outcome.view.size();
     benchmark::DoNotOptimize(outcome);
   }
@@ -52,7 +53,8 @@ void BM_SimplifySection41(benchmark::State& state) {
       View::Create(&catalog, base, {{hs, ef}, {ht, t}}, "VST").value();
   std::size_t out = 0;
   for (auto _ : state) {
-    SimplifyOutcome outcome = Simplify(&catalog, view).value();
+    Engine engine(&catalog);
+    SimplifyOutcome outcome = Simplify(engine, &catalog, view).value();
     out = outcome.view.size();
     benchmark::DoNotOptimize(outcome);
   }
@@ -68,7 +70,9 @@ void BM_SimplifyChainJoin(benchmark::State& state) {
   View view = MakeJoinView(*schema, "jn");
   std::size_t out = 0;
   for (auto _ : state) {
-    SimplifyOutcome outcome = Simplify(&schema->catalog, view).value();
+    Engine engine(&schema->catalog);
+    SimplifyOutcome outcome =
+        Simplify(engine, &schema->catalog, view).value();
     out = outcome.view.size();
     benchmark::DoNotOptimize(outcome);
   }
@@ -85,7 +89,9 @@ void BM_VerifySimplified(benchmark::State& state) {
   auto schema = MakeChain(links);
   View view = MakeLinkView(*schema, "lk");
   for (auto _ : state) {
-    bool simplified = IsSimplifiedView(&schema->catalog, view).value();
+    Engine engine(&schema->catalog);
+    bool simplified =
+        IsSimplifiedView(engine, &schema->catalog, view).value();
     if (!simplified) state.SkipWithError("expected simplified");
     benchmark::DoNotOptimize(simplified);
   }

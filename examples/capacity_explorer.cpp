@@ -27,9 +27,8 @@ int main() {
 
   std::cout << "== Size-bounded fragments of the two capacities ==\n";
   for (std::size_t leaves = 1; leaves <= 3; ++leaves) {
-    auto joined =
-        analyzer.EnumerateViewCapacity("Joined", leaves, 512);
-    auto split = analyzer.EnumerateViewCapacity("Split", leaves, 512);
+    auto joined = analyzer.EnumerateViewCapacity("Joined", leaves, {}, 512);
+    auto split = analyzer.EnumerateViewCapacity("Split", leaves, {}, 512);
     if (!joined.ok() || !split.ok()) {
       std::cerr << "enumeration failed\n";
       return 1;
@@ -41,7 +40,8 @@ int main() {
 
   std::cout << "\n== The <=2-leaf fragment of Cap(Split), spelled out ==\n";
   std::string report;
-  auto entries = analyzer.EnumerateViewCapacity("Split", 2, 512, &report);
+  auto entries =
+      analyzer.EnumerateViewCapacity("Split", 2, {}, 512, &report);
   if (!entries.ok()) {
     std::cerr << entries.status().ToString() << "\n";
     return 1;
@@ -52,7 +52,8 @@ int main() {
   // from one view must be answerable through the other (Theorem 1.5.5 in
   // action, member by member).
   const viewcap::View* joined_view = analyzer.GetView("Joined").value();
-  viewcap::CapacityOracle joined_oracle(*joined_view);
+  viewcap::Engine engine(&analyzer.catalog());
+  viewcap::CapacityOracle joined_oracle(&engine, *joined_view);
   std::size_t confirmed = 0;
   for (const auto& entry : *entries) {
     auto member = joined_oracle.Contains(entry.query);

@@ -28,7 +28,8 @@ int main() {
 
   // --- 1. Decide equivalence (Theorem 2.4.12). -------------------------
   std::string report;
-  auto equivalence = analyzer.CheckEquivalence("Joined", "Split", &report);
+  auto equivalence =
+      analyzer.CheckEquivalence("Joined", "Split", {}, &report);
   if (!equivalence.ok()) {
     std::cerr << equivalence.status().ToString() << "\n";
     return 1;
@@ -41,7 +42,7 @@ int main() {
        {"pi{A,C}(pi{A,B}(r) * pi{B,C}(r))",  // Derivable from both views.
         "r",                                 // Derivable from neither.
         "pi{B}(r)"}) {
-    auto answerable = analyzer.CheckAnswerable("Split", query, &report);
+    auto answerable = analyzer.CheckAnswerable("Split", query, {}, &report);
     if (!answerable.ok()) {
       std::cerr << answerable.status().ToString() << "\n";
       return 1;

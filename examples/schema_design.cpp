@@ -30,6 +30,7 @@ int main() {
     return 1;
   }
   viewcap::Catalog& catalog = analyzer.catalog();
+  viewcap::Engine engine(&catalog);
   const viewcap::View* view = analyzer.GetView("Dispatch").value();
   std::cout << "== Input view ==\n" << view->ToString() << "\n";
 
@@ -37,18 +38,18 @@ int main() {
   viewcap::QuerySet set = viewcap::QuerySet::FromView(*view);
   std::cout << "== Redundancy analysis ==\n";
   for (std::size_t i = 0; i < set.size(); ++i) {
-    auto result = viewcap::IsRedundant(&catalog, set, i);
+    auto result = viewcap::IsRedundant(engine, set, i);
     std::cout << "  "
               << catalog.RelationName(view->definitions()[i].rel) << ": "
               << (result->redundant ? "REDUNDANT" : "nonredundant") << "\n";
   }
   std::cout << "  bound on any nonredundant equivalent's size: "
-            << viewcap::NonredundantSizeBound(catalog, set) << "\n\n";
+            << viewcap::NonredundantSizeBound(engine, set) << "\n\n";
 
   // --- Simplicity analysis (Section 4.1). -------------------------------
   std::cout << "== Simplicity analysis ==\n";
   for (std::size_t i = 0; i < set.size(); ++i) {
-    auto result = viewcap::IsSimple(&catalog, set, i);
+    auto result = viewcap::IsSimple(engine, &catalog, set, i);
     std::cout << "  "
               << catalog.RelationName(view->definitions()[i].rel) << ": "
               << (result->simple ? "simple" : "DECOMPOSABLE");
@@ -61,7 +62,7 @@ int main() {
 
   // --- Normalize (Theorem 4.1.3). ---------------------------------------
   std::string report;
-  auto simplified = analyzer.SimplifyView("Dispatch", &report);
+  auto simplified = analyzer.SimplifyView("Dispatch", {}, &report);
   if (!simplified.ok()) {
     std::cerr << simplified.status().ToString() << "\n";
     return 1;
@@ -70,9 +71,16 @@ int main() {
             << report;
 
   // --- Certify the result. ----------------------------------------------
-  auto equivalent = viewcap::AreEquivalent(*view, simplified->view);
+  // Each check gets an engine of its own, so neither is answered from
+  // verdicts the analysis above left in `engine`.
+  viewcap::Engine equivalence_engine(&catalog);
+  viewcap::Engine normal_form_engine(&catalog);
+  auto equivalent =
+      viewcap::AreEquivalent(equivalence_engine, *view, simplified->view);
   bool is_simplified =
-      viewcap::IsSimplifiedView(&catalog, simplified->view).value();
+      viewcap::IsSimplifiedView(normal_form_engine, &catalog,
+                                simplified->view)
+          .value();
   std::cout << "\nequivalent to the input : "
             << (equivalent->equivalent ? "yes" : "NO (bug)") << "\n";
   std::cout << "in normal form          : "

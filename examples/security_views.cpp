@@ -58,7 +58,8 @@ int main() {
     std::cout << "== Audit of view '" << view_name << "' ==\n";
     for (const Probe& probe : probes) {
       std::string report;
-      auto result = analyzer.CheckAnswerable(view_name, probe.query, &report);
+      auto result =
+          analyzer.CheckAnswerable(view_name, probe.query, {}, &report);
       if (!result.ok()) {
         std::cerr << result.status().ToString() << "\n";
         return 1;
@@ -86,7 +87,7 @@ int main() {
 
   // The two proposals are inequivalent, certified by Theorem 2.4.12.
   std::string report;
-  auto eq = analyzer.CheckEquivalence("Public", "Banded", &report);
+  auto eq = analyzer.CheckEquivalence("Public", "Banded", {}, &report);
   std::cout << "\n== Formal comparison ==\n" << report;
   return 0;
 }

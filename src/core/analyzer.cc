@@ -72,12 +72,6 @@ Result<const View*> Analyzer::GetView(const std::string& name) const {
 
 Result<EquivalenceResult> Analyzer::CheckEquivalence(const std::string& left,
                                                      const std::string& right,
-                                                     std::string* report) {
-  return CheckEquivalence(left, right, limits_, report);
-}
-
-Result<EquivalenceResult> Analyzer::CheckEquivalence(const std::string& left,
-                                                     const std::string& right,
                                                      const SearchLimits& limits,
                                                      std::string* report) {
   VIEWCAP_ASSIGN_OR_RETURN(const View* v, GetView(left));
@@ -113,12 +107,6 @@ Result<EquivalenceResult> Analyzer::CheckEquivalence(const std::string& left,
 
 Result<MembershipResult> Analyzer::CheckAnswerable(
     const std::string& name, const std::string& query_text,
-    std::string* report) {
-  return CheckAnswerable(name, query_text, limits_, report);
-}
-
-Result<MembershipResult> Analyzer::CheckAnswerable(
-    const std::string& name, const std::string& query_text,
     const SearchLimits& limits, std::string* report) {
   VIEWCAP_ASSIGN_OR_RETURN(const View* view, GetView(name));
   VIEWCAP_ASSIGN_OR_RETURN(ExprPtr query,
@@ -146,11 +134,6 @@ Result<MembershipResult> Analyzer::CheckAnswerable(
 }
 
 Result<NonredundantViewResult> Analyzer::EliminateRedundancy(
-    const std::string& name, std::string* report) {
-  return EliminateRedundancy(name, limits_, report);
-}
-
-Result<NonredundantViewResult> Analyzer::EliminateRedundancy(
     const std::string& name, const SearchLimits& limits,
     std::string* report) {
   VIEWCAP_ASSIGN_OR_RETURN(const View* view, GetView(name));
@@ -169,11 +152,6 @@ Result<NonredundantViewResult> Analyzer::EliminateRedundancy(
 }
 
 Result<SimplifyOutcome> Analyzer::SimplifyView(const std::string& name,
-                                               std::string* report) {
-  return SimplifyView(name, limits_, report);
-}
-
-Result<SimplifyOutcome> Analyzer::SimplifyView(const std::string& name,
                                                const SearchLimits& limits,
                                                std::string* report) {
   VIEWCAP_ASSIGN_OR_RETURN(const View* view, GetView(name));
@@ -189,11 +167,6 @@ Result<SimplifyOutcome> Analyzer::SimplifyView(const std::string& name,
     VIEWCAP_RETURN_NOT_OK(RegisterView(std::move(registered), result_name));
   }
   return outcome;
-}
-
-Result<std::vector<Analyzer::LatticeEntry>> Analyzer::CompareAllViews(
-    std::string* report) {
-  return CompareAllViews(limits_, report);
 }
 
 Result<std::vector<Analyzer::LatticeEntry>> Analyzer::CompareAllViews(
@@ -226,11 +199,6 @@ Result<std::vector<Analyzer::LatticeEntry>> Analyzer::CompareAllViews(
     *report = std::move(out);
   }
   return entries;
-}
-
-Result<MinimizeResult> Analyzer::MinimizeQuery(const std::string& expr_text,
-                                               std::string* report) {
-  return MinimizeQuery(expr_text, limits_, report);
 }
 
 Result<MinimizeResult> Analyzer::MinimizeQuery(const std::string& expr_text,
@@ -290,15 +258,6 @@ Result<Relation> Analyzer::EvaluateViewQuery(const std::string& view_name,
                      result.ToString(*catalog_));
   }
   return result;
-}
-
-Result<std::vector<CapacityOracle::CapacityEntry>>
-Analyzer::EnumerateViewCapacity(const std::string& name,
-                                std::size_t max_leaves,
-                                std::size_t max_entries,
-                                std::string* report) {
-  return EnumerateViewCapacity(name, max_leaves, limits_, max_entries,
-                               report);
 }
 
 Result<std::vector<CapacityOracle::CapacityEntry>>

@@ -47,45 +47,33 @@ class Analyzer {
   /// Fails with NotFound for unknown names.
   Result<const View*> GetView(const std::string& name) const;
 
-  // Every decision method below exists in two forms: the historical one
-  // reading this analyzer's member limits(), and an explicit-limits
-  // overload taking the SearchLimits per call. The explicit form is what
-  // the service layer's shared-lock handlers use — per-request limits
-  // without mutating analyzer state (see service/workspace.h).
+  // Every decision method below takes its SearchLimits per call, so the
+  // service layer's shared-lock handlers serve per-request limits without
+  // mutating analyzer state (see service/workspace.h).
 
   /// Theorem 2.4.12. Also renders a human-readable report into `*report`
   /// when non-null (witnessing expressions, missing queries).
   Result<EquivalenceResult> CheckEquivalence(const std::string& left,
                                              const std::string& right,
-                                             std::string* report = nullptr);
-  Result<EquivalenceResult> CheckEquivalence(const std::string& left,
-                                             const std::string& right,
-                                             const SearchLimits& limits,
+                                             const SearchLimits& limits = {},
                                              std::string* report = nullptr);
 
   /// Theorem 2.4.11: is `query_text` (an expression over the base schema)
   /// answerable through view `name`?
   Result<MembershipResult> CheckAnswerable(const std::string& name,
                                            const std::string& query_text,
-                                           std::string* report = nullptr);
-  Result<MembershipResult> CheckAnswerable(const std::string& name,
-                                           const std::string& query_text,
-                                           const SearchLimits& limits,
+                                           const SearchLimits& limits = {},
                                            std::string* report = nullptr);
 
   /// Theorem 3.1.4: redundancy elimination; registers the result as
   /// "<name>_nr".
   Result<NonredundantViewResult> EliminateRedundancy(
-      const std::string& name, std::string* report = nullptr);
-  Result<NonredundantViewResult> EliminateRedundancy(
-      const std::string& name, const SearchLimits& limits,
+      const std::string& name, const SearchLimits& limits = {},
       std::string* report = nullptr);
 
   /// Theorem 4.1.3: normalization; registers the result as "<name>_simplified".
   Result<SimplifyOutcome> SimplifyView(const std::string& name,
-                                       std::string* report = nullptr);
-  Result<SimplifyOutcome> SimplifyView(const std::string& name,
-                                       const SearchLimits& limits,
+                                       const SearchLimits& limits = {},
                                        std::string* report = nullptr);
 
   /// One cell of the pairwise dominance classification.
@@ -100,17 +88,13 @@ class Analyzer {
   /// Classifies every pair of loaded views by dominance (Lemma 1.5.4);
   /// equivalence is mutual dominance. Renders a matrix into `*report`.
   Result<std::vector<LatticeEntry>> CompareAllViews(
-      std::string* report = nullptr);
-  Result<std::vector<LatticeEntry>> CompareAllViews(
-      const SearchLimits& limits, std::string* report = nullptr);
+      const SearchLimits& limits = {}, std::string* report = nullptr);
 
   /// Tableau minimization of a base-schema expression (the reference [2]
   /// application): returns an equivalent expression with the fewest leaf
   /// occurrences found.
   Result<MinimizeResult> MinimizeQuery(const std::string& expr_text,
-                                       std::string* report = nullptr);
-  Result<MinimizeResult> MinimizeQuery(const std::string& expr_text,
-                                       const SearchLimits& limits,
+                                       const SearchLimits& limits = {},
                                        std::string* report = nullptr);
 
   /// Flattens view `outer` (defined over `inner`'s schema... i.e. whose
@@ -128,10 +112,7 @@ class Analyzer {
   /// renders one line per member into `*report`.
   Result<std::vector<CapacityOracle::CapacityEntry>> EnumerateViewCapacity(
       const std::string& name, std::size_t max_leaves,
-      std::size_t max_entries = 256, std::string* report = nullptr);
-  Result<std::vector<CapacityOracle::CapacityEntry>> EnumerateViewCapacity(
-      const std::string& name, std::size_t max_leaves,
-      const SearchLimits& limits, std::size_t max_entries = 256,
+      const SearchLimits& limits = {}, std::size_t max_entries = 256,
       std::string* report = nullptr);
 
   /// Evaluates a view-schema query against a concrete database instance
@@ -143,10 +124,6 @@ class Analyzer {
                                      const std::string& data_text,
                                      std::string* report = nullptr);
 
-  /// Tuning for all decision procedures run by this analyzer.
-  void set_limits(SearchLimits limits) { limits_ = limits; }
-  const SearchLimits& limits() const { return limits_; }
-
  private:
   Status RegisterView(View view, const std::string& name);
 
@@ -156,7 +133,6 @@ class Analyzer {
   std::vector<RelId> base_rels_;
   std::map<std::string, View> views_;
   std::vector<std::string> view_order_;
-  SearchLimits limits_;
 };
 
 }  // namespace viewcap

@@ -42,28 +42,21 @@ std::string RenderEngineStats(const EngineStats& stats) {
   };
   row("reduce", stats.reduce);
   row("canonical-key", stats.canonical_key);
-  row("homomorphism", stats.homomorphism);
   row("row-embedding", stats.row_embedding);
   row("expansion", stats.expansion);
   row("verdict", stats.verdict);
   row("dominance", stats.dominance);
-  // Candidate-filter activity of the kernel searches, per SIMD backend.
-  // Only backends that actually ran get a row (one engine accumulates in
-  // exactly one slot), so a scalar-only run prints a single scalar row
-  // and a fresh engine prints the header alone.
-  std::string filter_rows;
-  for (std::size_t b = 0; b < kNumSimdBackends; ++b) {
-    const FilterBackendCounters& f = stats.filter[b];
-    if (f.invocations == 0) continue;
-    filter_rows += StrCat(
-        "| ", SimdBackendName(static_cast<SimdBackend>(b)), " | ",
-        f.invocations, " | ", f.rows, " | ", f.survivors, " | ",
-        RenderHitRate(f.survivors, f.rows), " |\n");
-  }
+  // Candidate-filter activity of the kernel searches: one `scalar` row
+  // once the filter has run, so a fresh engine prints the header alone.
+  const FilterCounters& f = stats.filter;
   out += "\n### Candidate filter\n\n";
   out += "| backend | invocations | rows | survivors | survivor rate |\n";
   out += "|---|---|---|---|---|\n";
-  out += filter_rows;
+  if (f.invocations != 0) {
+    out += StrCat("| scalar | ", f.invocations, " | ", f.rows, " | ",
+                  f.survivors, " | ", RenderHitRate(f.survivors, f.rows),
+                  " |\n");
+  }
   return out;
 }
 
@@ -115,10 +108,10 @@ Result<std::string> RenderReport(Analyzer& analyzer,
       Tableau reduced = engine.Reduced(d.tableau);
       VIEWCAP_ASSIGN_OR_RETURN(
           RedundancyResult redundancy,
-          IsRedundant(engine, set, i, analyzer.limits()));
+          IsRedundant(engine, set, i, options.limits));
       VIEWCAP_ASSIGN_OR_RETURN(
           SimplicityResult simplicity,
-          IsSimple(engine, &catalog, set, i, analyzer.limits()));
+          IsSimple(engine, &catalog, set, i, options.limits));
       auto verdict = [](bool yes, bool budget) {
         return std::string(yes ? "yes" : "no") +
                (budget ? " (budget)" : "");
@@ -141,7 +134,7 @@ Result<std::string> RenderReport(Analyzer& analyzer,
     if (options.include_normal_forms) {
       VIEWCAP_ASSIGN_OR_RETURN(
           SimplifyOutcome simplified,
-          Simplify(engine, &catalog, *view, analyzer.limits()));
+          Simplify(engine, &catalog, *view, options.limits));
       out += StrCat("Simplified normal form (", simplified.view.size(),
                     " definitions, ", simplified.rounds, " rounds",
                     simplified.inconclusive ? ", budget-limited" : "",
@@ -153,7 +146,7 @@ Result<std::string> RenderReport(Analyzer& analyzer,
     }
 
     if (options.capacity_leaves > 0) {
-      CapacityOracle oracle(&engine, *view, analyzer.limits());
+      CapacityOracle oracle(&engine, *view, options.limits);
       VIEWCAP_ASSIGN_OR_RETURN(
           std::vector<CapacityOracle::CapacityEntry> entries,
           oracle.EnumerateCapacity(options.capacity_leaves,
@@ -168,8 +161,8 @@ Result<std::string> RenderReport(Analyzer& analyzer,
   if (options.include_lattice && names.size() > 1) {
     out += "## Pairwise dominance\n\n";
     std::string lattice;
-    VIEWCAP_ASSIGN_OR_RETURN(auto entries,
-                             analyzer.CompareAllViews(&lattice));
+    VIEWCAP_ASSIGN_OR_RETURN(
+        auto entries, analyzer.CompareAllViews(options.limits, &lattice));
     (void)entries;
     out += lattice;
     out += "\n";

@@ -11,6 +11,8 @@ namespace viewcap {
 
 /// Report tuning.
 struct ReportOptions {
+  /// Search limits for every decision procedure the report runs.
+  SearchLimits limits;
   /// Leaf budget for the capacity-fragment section (0 disables it).
   std::size_t capacity_leaves = 2;
   /// Cap on enumerated capacity members per view.

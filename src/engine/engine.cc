@@ -5,8 +5,6 @@
 #include "base/check.h"
 #include "base/strings.h"
 #include "tableau/canonical.h"
-#include "tableau/hom_kernel.h"
-#include "tableau/homomorphism.h"
 #include "tableau/reduce.h"
 
 namespace viewcap {
@@ -61,27 +59,22 @@ Engine::Engine(const Catalog* catalog, EngineOptions options)
       reduce_cache_(options.max_memo_entries),
       key_cache_(options.max_memo_entries),
       intern_cache_(options.max_memo_entries),
-      hom_cache_(options.max_memo_entries),
       embed_cache_(options.max_memo_entries),
       expansion_cache_(options.max_memo_entries),
       verdict_cache_(options.max_memo_entries),
-      dominance_cache_(options.max_memo_entries),
-      resolved_simd_(ResolveSimdBackend(options.simd)) {}
+      dominance_cache_(options.max_memo_entries) {}
 
 HomScratch& Engine::PreparedScratch() {
   HomScratch& scratch = KernelScratch();
-  scratch.backend = resolved_simd_;
-  scratch.filter.counters.Reset();
+  scratch.filter = {};
   return scratch;
 }
 
 void Engine::HarvestFilter(const HomScratch& scratch) {
-  const FilterCounters& c = scratch.filter.counters;
-  if (c.invocations == 0) return;
-  const std::size_t b = SimdBackendIndex(scratch.backend);
-  Add(filter_invocations_[b], static_cast<std::size_t>(c.invocations));
-  Add(filter_rows_[b], static_cast<std::size_t>(c.rows));
-  Add(filter_survivors_[b], static_cast<std::size_t>(c.survivors));
+  const FilterCounters& c = scratch.filter;
+  Add(filter_invocations_, static_cast<std::size_t>(c.invocations));
+  Add(filter_rows_, static_cast<std::size_t>(c.rows));
+  Add(filter_survivors_, static_cast<std::size_t>(c.survivors));
 }
 
 Tableau Engine::Reduced(const Tableau& t) {
@@ -91,9 +84,8 @@ Tableau Engine::Reduced(const Tableau& t) {
   std::optional<Tableau> reduced = reduce_cache_.GetOrCompute(
       fingerprint,
       [&]() -> std::optional<Tableau> {
-        // The sweep inside Reduce runs on this engine's configured
-        // candidate-filter backend and its filter work lands in the
-        // per-backend stats.
+        // The filter work of the sweep inside Reduce lands in this
+        // engine's stats.
         HomScratch& scratch = PreparedScratch();
         Tableau result = Reduce(*catalog_, t, scratch);
         HarvestFilter(scratch);
@@ -199,9 +191,6 @@ TableauId Engine::Intern(const Tableau& t) {
 bool Engine::ConfirmEquivalent(TableauId id, const Tableau& reduced,
                                const SoaTemplate& reduced_soa) {
   const Tableau& rep = Representative(id);
-  if (!options_.use_soa_kernel) {
-    return legacy::EquivalentTableaux(*catalog_, rep, reduced);
-  }
   if (rep.Trs() != reduced.Trs()) return false;
   if (rep.universe() != reduced.universe()) return false;
   const SoaTemplate& rep_soa = SoaForm(id);
@@ -233,33 +222,6 @@ bool Engine::Equivalent(const Tableau& a, const Tableau& b) {
   return Intern(a) == Intern(b);
 }
 
-bool Engine::HomomorphismExists(TableauId from, TableauId to) {
-  Bump(hom_requests_);
-  const std::string key = StrCat(from, "~", to);
-  bool ran = false;
-  std::optional<bool> exists = hom_cache_.GetOrCompute(
-      key,
-      [&]() -> std::optional<bool> {
-        if (options_.use_soa_kernel) {
-          if (Representative(from).universe() !=
-              Representative(to).universe()) {
-            return false;
-          }
-          HomScratch& scratch = PreparedScratch();
-          const bool exists = SoaSearch(SoaForm(from), SoaForm(to),
-                                        HomMode::kHomomorphism, scratch,
-                                        nullptr);
-          HarvestFilter(scratch);
-          return exists;
-        }
-        return legacy::HasHomomorphism(*catalog_, Representative(from),
-                                       Representative(to));
-      },
-      &ran);
-  if (ran) Bump(hom_runs_);
-  return *exists;
-}
-
 bool Engine::RowEmbeds(TableauId from, TableauId to) {
   Bump(embed_requests_);
   const std::string key = StrCat(from, "~", to);
@@ -267,20 +229,16 @@ bool Engine::RowEmbeds(TableauId from, TableauId to) {
   std::optional<bool> embeds = embed_cache_.GetOrCompute(
       key,
       [&]() -> std::optional<bool> {
-        if (options_.use_soa_kernel) {
-          if (Representative(from).universe() !=
-              Representative(to).universe()) {
-            return false;
-          }
-          HomScratch& scratch = PreparedScratch();
-          const bool embeds = SoaSearch(SoaForm(from), SoaForm(to),
-                                        HomMode::kRowEmbedding, scratch,
-                                        nullptr);
-          HarvestFilter(scratch);
-          return embeds;
+        if (Representative(from).universe() !=
+            Representative(to).universe()) {
+          return false;
         }
-        return legacy::HasRowEmbedding(*catalog_, Representative(from),
-                                       Representative(to));
+        HomScratch& scratch = PreparedScratch();
+        const bool embeds = SoaSearch(SoaForm(from), SoaForm(to),
+                                      HomMode::kRowEmbedding, scratch,
+                                      nullptr);
+        HarvestFilter(scratch);
+        return embeds;
       },
       &ran);
   if (ran) Bump(embed_runs_);
@@ -307,13 +265,9 @@ std::vector<char> Engine::RowEmbedsBatch(const std::vector<TableauId>& froms,
     std::optional<bool> embeds = embed_cache_.GetOrCompute(
         key,
         [&]() -> std::optional<bool> {
-          if (options_.use_soa_kernel) {
-            return Representative(from).universe() == to_rep.universe() &&
-                   SoaSearch(SoaForm(from), to_soa, HomMode::kRowEmbedding,
-                             scratch, nullptr);
-          }
-          return legacy::HasRowEmbedding(*catalog_, Representative(from),
-                                         to_rep);
+          return Representative(from).universe() == to_rep.universe() &&
+                 SoaSearch(SoaForm(from), to_soa, HomMode::kRowEmbedding,
+                           scratch, nullptr);
         },
         &ran);
     if (ran) Bump(embed_runs_);
@@ -410,8 +364,6 @@ EngineStats Engine::ReadStatsOnce() const {
                   reduce_cache_.evictions(), reduce_cache_.size()};
   stats.canonical_key = {Load(key_requests_), Load(key_runs_),
                          key_cache_.evictions(), key_cache_.size()};
-  stats.homomorphism = {Load(hom_requests_), Load(hom_runs_),
-                        hom_cache_.evictions(), hom_cache_.size()};
   stats.row_embedding = {Load(embed_requests_), Load(embed_runs_),
                          embed_cache_.evictions(), embed_cache_.size()};
   stats.expansion = {Load(expansion_requests_), Load(expansion_runs_),
@@ -427,10 +379,8 @@ EngineStats Engine::ReadStatsOnce() const {
     stats.interned_classes = classes_.size();
   }
   stats.equivalence_confirms = Load(equivalence_confirms_);
-  for (std::size_t b = 0; b < kNumSimdBackends; ++b) {
-    stats.filter[b] = {Load(filter_invocations_[b]), Load(filter_rows_[b]),
-                       Load(filter_survivors_[b])};
-  }
+  stats.filter = {Load(filter_invocations_), Load(filter_rows_),
+                  Load(filter_survivors_)};
   return stats;
 }
 

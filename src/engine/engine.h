@@ -27,12 +27,9 @@
 // becomes the class representative, and since expansions substitute the
 // representative, the fingerprint sets reaching the reduce/key caches
 // (their run/entry counts, not any verdict or witness) can differ between
-// parallel runs. The SoA/legacy differential suite pins the full counter
-// vector at threads=1 and the scheduling-invariant subset beyond. The
-// catalog behind the
-// engine is only read; callers minting relations concurrently with
-// searches must provide their own exclusion (the library's drivers mint
-// before searching).
+// parallel runs. The catalog behind the engine is only read; callers
+// minting relations concurrently with searches must provide their own
+// exclusion (the library's drivers mint before searching).
 #ifndef VIEWCAP_ENGINE_ENGINE_H_
 #define VIEWCAP_ENGINE_ENGINE_H_
 
@@ -54,9 +51,9 @@
 #include <vector>
 
 #include "algebra/expr.h"
-#include "base/simd.h"
 #include "base/status.h"
 #include "base/thread_pool.h"
+#include "tableau/hom_kernel.h"
 #include "tableau/soa.h"
 #include "tableau/substitution.h"
 #include "tableau/tableau.h"
@@ -117,22 +114,6 @@ struct EngineOptions {
   /// request is a miss and nothing is stored). The interning store is
   /// exempt: evicting a class would invalidate issued TableauIds.
   std::size_t max_memo_entries = 1 << 16;
-
-  /// Run the Section 2.4 pair predicates (intern confirms, homomorphism,
-  /// row embedding) on the flat SoA kernel over per-class cached SoA
-  /// forms (tableau/hom_kernel.h). Off routes them through the legacy
-  /// pointer-walking search instead — same verdicts and counters, used by
-  /// the engine-level differential tests. SoA forms are cached either
-  /// way, so flipping the flag never changes interning behavior.
-  bool use_soa_kernel = true;
-
-  /// Candidate-filter backend the kernel searches run on. The default is
-  /// the runtime-dispatched widest available backend (honoring the
-  /// VIEWCAP_SIMD environment override); the engine clamps an unavailable
-  /// request down at construction. Every backend computes bit-identical
-  /// candidate lists (hom_filter.h), so this knob changes throughput and
-  /// the per-backend stats slot — never verdicts or witnesses.
-  SimdBackend simd = DefaultSimdBackend();
 };
 
 /// Counter snapshot for one memo cache. `requests - runs` is the hit
@@ -148,21 +129,6 @@ struct CacheCounters {
   bool operator==(const CacheCounters&) const = default;
 };
 
-/// Candidate-filter activity of the SoA kernel searches an engine ran,
-/// per executed backend (EngineStats::filter is indexed by SimdBackend).
-/// `rows` counts candidate target rows pushed through the filter
-/// predicate — the lanes processed; `survivors / rows` is the survivor
-/// rate the stats renderer reports. Filter work happens only inside
-/// actual kernel executions (cache misses), so like the `runs` counters
-/// these are exact at threads=1 and scheduling-invariant in total.
-struct FilterBackendCounters {
-  std::size_t invocations = 0;
-  std::size_t rows = 0;
-  std::size_t survivors = 0;
-
-  bool operator==(const FilterBackendCounters&) const = default;
-};
-
 /// Point-in-time snapshot of an engine's caches (see
 /// RenderEngineStats in core/report.h for the human-readable form). Under
 /// concurrent use the counters are relaxed atomics: totals are exact once
@@ -172,7 +138,6 @@ struct FilterBackendCounters {
 struct EngineStats {
   CacheCounters reduce;         ///< Reduce-to-core kernel (Prop 2.4.4).
   CacheCounters canonical_key;  ///< CanonicalKey kernel.
-  CacheCounters homomorphism;   ///< Hom existence between interned pairs.
   CacheCounters row_embedding;  ///< Row-embedding between interned pairs.
   CacheCounters expansion;      ///< Reduced T -> beta expansion classes.
   CacheCounters verdict;        ///< Membership verdicts per (set, query).
@@ -185,9 +150,11 @@ struct EngineStats {
   /// collisions during interning.
   std::size_t equivalence_confirms = 0;
 
-  /// Per-backend candidate-filter counters (indexed by SimdBackend; a
-  /// single-backend engine accumulates in exactly one slot).
-  std::array<FilterBackendCounters, kNumSimdBackends> filter = {};
+  /// Candidate-filter activity of the kernel searches the engine ran
+  /// (`survivors / rows` is the survivor rate the stats renderer
+  /// reports). Filter work happens only inside kernel executions (cache
+  /// misses), so like the `runs` counters these are exact at threads=1.
+  FilterCounters filter;
 
   bool operator==(const EngineStats&) const = default;
 };
@@ -208,7 +175,6 @@ std::string TableauFingerprint(const Tableau& t);
 inline constexpr std::uint32_t kFingerprintSchemeVersion = 1;
 
 class Engine;
-struct HomScratch;
 
 /// One membership question as the persistent index sees it: the query
 /// set's members (handles and interned classes, in member order), the
@@ -467,15 +433,10 @@ class Engine {
   /// interning invariant).
   bool Equivalent(const Tableau& a, const Tableau& b);
 
-  /// Memoized homomorphism existence Representative(from) ->
-  /// Representative(to) (Proposition 2.4.1). Equivalent to the test on any
-  /// class members: homomorphisms compose with the two-way homomorphisms
-  /// linking a member to its representative.
-  bool HomomorphismExists(TableauId from, TableauId to);
-
   /// Memoized row-embedding existence between class representatives (the
-  /// capacity search's completeness-preserving prune). Row embeddings also
-  /// compose with homomorphisms, so the verdict is class-invariant.
+  /// capacity search's completeness-preserving prune). Row embeddings
+  /// compose with the two-way homomorphisms linking a class member to its
+  /// representative, so the verdict is class-invariant.
   bool RowEmbeds(TableauId from, TableauId to);
 
   /// Wave form of RowEmbeds: evaluates every (froms[i], to) pair against
@@ -528,9 +489,6 @@ class Engine {
   /// renderer — none of them read individual counters field-by-field.
   EngineStats StatsSnapshot() const;
 
-  /// Deprecated spelling of StatsSnapshot(), kept for older callers.
-  EngineStats Stats() const { return StatsSnapshot(); }
-
   /// Attaches a precomputed verdict source (or detaches with nullptr).
   /// The index must outlive its attachment; verdict consumers
   /// (CapacityOracle::Contains, Dominates) consult it after an in-memory
@@ -561,10 +519,9 @@ class Engine {
     if (n != 0) c.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// The thread-local kernel scratch, configured for this engine: backend
-  /// set to the resolved EngineOptions::simd and filter counters zeroed.
+  /// The thread-local kernel scratch with its filter counters zeroed.
   /// Every kernel call site pairs it with HarvestFilter, which folds the
-  /// counters the calls accumulated into the per-backend stats slot.
+  /// counters the calls accumulated into the engine's filter stats.
   /// Leases never nest: each site prepares, runs its searches, and
   /// harvests before returning to code that could take another lease.
   HomScratch& PreparedScratch();
@@ -610,7 +567,6 @@ class Engine {
   // eviction only re-routes a future request through the slow path, which
   // re-derives the same id.
   StripedMemoCache<TableauId> intern_cache_;
-  StripedMemoCache<bool> hom_cache_;
   StripedMemoCache<bool> embed_cache_;
   StripedMemoCache<TableauId> expansion_cache_;
   StripedMemoCache<MembershipResult> verdict_cache_;
@@ -619,23 +575,15 @@ class Engine {
   // requests/runs counters; entries/evictions come from the caches.
   Counter reduce_requests_{0}, reduce_runs_{0};
   Counter key_requests_{0}, key_runs_{0};
-  Counter hom_requests_{0}, hom_runs_{0};
   Counter embed_requests_{0}, embed_runs_{0};
   Counter expansion_requests_{0}, expansion_runs_{0};
   Counter verdict_requests_{0}, verdict_runs_{0};
   Counter dominance_requests_{0}, dominance_runs_{0};
   Counter intern_requests_{0}, intern_hits_{0};
   Counter equivalence_confirms_{0};
-
-  // Per-backend candidate-filter counters (EngineStats::filter),
-  // harvested from kernel scratch after each search batch. An engine
-  // accumulates in exactly one slot — the resolved backend — but the
-  // array keeps snapshots meaningful across engines with different
-  // options in one process.
-  std::array<Counter, kNumSimdBackends> filter_invocations_ = {};
-  std::array<Counter, kNumSimdBackends> filter_rows_ = {};
-  std::array<Counter, kNumSimdBackends> filter_survivors_ = {};
-  SimdBackend resolved_simd_;
+  // Candidate-filter counters (EngineStats::filter), harvested from
+  // kernel scratch after each search batch.
+  Counter filter_invocations_{0}, filter_rows_{0}, filter_survivors_{0};
 
   std::atomic<VerdictIndex*> attached_index_{nullptr};
 };

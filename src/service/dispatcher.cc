@@ -232,13 +232,9 @@ Response Dispatcher::Handle(const Request& request) {
       break;
     case RequestKind::kReport:
       workspace_->WithExclusive([&](Analyzer& a) {
-        // RenderReport drives the analyzer's own methods, which read its
-        // member limits; swapping them is safe here because the exclusive
-        // lock is held for the whole render.
-        const SearchLimits saved = a.limits();
-        a.set_limits(limits);
-        auto result = RenderReport(a);
-        a.set_limits(saved);
+        ReportOptions options;
+        options.limits = limits;
+        auto result = RenderReport(a, options);
         if (!result.ok()) {
           Fail(&resp, result.status());
         } else {

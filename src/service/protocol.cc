@@ -304,7 +304,6 @@ JsonValue EngineStatsToJson(const EngineStats& stats) {
   JsonValue obj = JsonValue::Object();
   obj.Set("reduce", CountersToJson(stats.reduce));
   obj.Set("canonical_key", CountersToJson(stats.canonical_key));
-  obj.Set("homomorphism", CountersToJson(stats.homomorphism));
   obj.Set("row_embedding", CountersToJson(stats.row_embedding));
   obj.Set("expansion", CountersToJson(stats.expansion));
   obj.Set("verdict", CountersToJson(stats.verdict));
@@ -317,13 +316,12 @@ JsonValue EngineStatsToJson(const EngineStats& stats) {
           JsonValue::Number(static_cast<double>(stats.interned_classes)));
   obj.Set("equivalence_confirms",
           JsonValue::Number(static_cast<double>(stats.equivalence_confirms)));
-  // Per-backend candidate-filter activity, keyed by backend name. Like
-  // the rendered table, only backends that actually ran appear, and the
-  // survivor rate is pre-rendered ("n/a" when no rows were filtered).
+  // Candidate-filter activity under its one `scalar` key. Like the
+  // rendered table, the entry appears once the filter has run, and the
+  // survivor rate is pre-rendered.
   JsonValue filter = JsonValue::Object();
-  for (std::size_t b = 0; b < kNumSimdBackends; ++b) {
-    const FilterBackendCounters& f = stats.filter[b];
-    if (f.invocations == 0) continue;
+  const FilterCounters& f = stats.filter;
+  if (f.invocations != 0) {
     JsonValue entry = JsonValue::Object();
     entry.Set("invocations",
               JsonValue::Number(static_cast<double>(f.invocations)));
@@ -332,8 +330,7 @@ JsonValue EngineStatsToJson(const EngineStats& stats) {
               JsonValue::Number(static_cast<double>(f.survivors)));
     entry.Set("survivor_rate",
               JsonValue::Str(RenderHitRate(f.survivors, f.rows)));
-    filter.Set(std::string(SimdBackendName(static_cast<SimdBackend>(b))),
-               std::move(entry));
+    filter.Set("scalar", std::move(entry));
   }
   obj.Set("filter", std::move(filter));
   return obj;

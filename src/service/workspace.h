@@ -22,10 +22,9 @@
 //     relations, or register views — load, membership, minimize, eval,
 //     capacity, redundancy, simplify, compose, report.
 //
-// Handlers running under the shared lock must not call the Analyzer
-// methods that read its mutable default SearchLimits; they pass explicit
-// per-request limits instead (the Analyzer's explicit-limits overloads),
-// so nothing mutates under a shared lock. Verdicts stay bit-identical
+// Every handler passes its per-request SearchLimits explicitly (the
+// Analyzer keeps no limits of its own), so nothing mutates under a
+// shared lock. Verdicts stay bit-identical
 // regardless of interleaving: the engine's compute-once caches make every
 // verdict a function of the request, not of thread timing (PR 5's
 // determinism guarantee), which the concurrent-session tests pin.
@@ -53,9 +52,7 @@ class Workspace {
   /// does not override them (the daemon's --threads / --max-candidates
   /// startup flags).
   explicit Workspace(SearchLimits default_limits = {})
-      : default_limits_(default_limits) {
-    analyzer_.set_limits(default_limits);
-  }
+      : default_limits_(default_limits) {}
 
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;

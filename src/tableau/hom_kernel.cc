@@ -1,6 +1,7 @@
 #include "tableau/hom_kernel.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "base/check.h"
 
@@ -8,51 +9,78 @@ namespace viewcap {
 
 namespace {
 
-// Candidate target rows per source row: same relation tag, and (in
-// fix-distinguished modes) distinguished wherever the source row is,
-// plus the occurrence-signature unification prune — the filter predicate
-// of hom_filter.h, run on `backend`. Appends `from`'s lists to the
-// arenas: survivors to `cand`, rows+1 offsets (relative to the caller's
-// position in `cand`) to `begins`, and — when `orders` is non-null — the
-// most-constrained-first (count, index) visit order. Appending instead
-// of overwriting lets the wave entry points prepare a whole batch in one
-// arena before any search runs.
-void BuildListsAppend(const SoaTemplate& from, const SoaTemplate& to,
-                      bool fix_distinguished, std::int32_t exclude_target_row,
-                      SimdBackend backend, FilterScratch& fs,
-                      std::vector<std::int32_t>& cand,
-                      std::vector<std::int32_t>& begins,
-                      std::vector<std::int32_t>* orders) {
-  const std::int32_t rows = from.num_rows();
-  const std::int32_t base = static_cast<std::int32_t>(cand.size());
-  const std::size_t begins_base = begins.size();
-  begins.push_back(0);
-  for (std::int32_t i = 0; i < rows; ++i) {
-    const SoaRowGroup* group = to.GroupFor(from.row_rel(i));
-    if (group != nullptr) {
-      FilterJob job;
-      job.from = &from;
-      job.to = &to;
-      job.source_row = i;
-      job.group = group;
-      job.fix_distinguished = fix_distinguished;
-      job.exclude_target_row = exclude_target_row;
-      FilterSourceRow(backend, job, fs, cand);
+// The candidate filter (DESIGN.md, "Candidate filter"): may source row
+// `i` of `from` be bound to target row `j` of `to` (a row of the same
+// tag)? Three checks, cheapest first:
+//   1. distinguished cover (fix-distinguished modes): the target row is
+//      distinguished in every column the source row is;
+//   2. signature length: |sig(source cell)| <= |sig(target cell)| in
+//      every column, a necessary condition for 3;
+//   3. signature containment: sig(source cell) is a subset of
+//      sig(target cell) in every column.
+bool IsCandidate(const SoaTemplate& from, std::int32_t i,
+                 const SoaTemplate& to, std::int32_t j,
+                 bool fix_distinguished) {
+  if (fix_distinguished) {
+    const std::uint64_t* need = from.dist_mask(i);
+    const std::uint64_t* have = to.dist_mask(j);
+    for (std::int32_t w = 0; w < from.dist_words(); ++w) {
+      if ((need[w] & ~have[w]) != 0) return false;
     }
-    begins.push_back(static_cast<std::int32_t>(cand.size()) - base);
   }
-  if (orders != nullptr) {
-    const std::size_t order_base = orders->size();
-    for (std::int32_t i = 0; i < rows; ++i) orders->push_back(i);
-    const std::int32_t* b = begins.data() + begins_base;
-    std::sort(orders->begin() + static_cast<std::ptrdiff_t>(order_base),
-              orders->end(), [b](std::int32_t x, std::int32_t y) {
-                const std::int32_t cx = b[x + 1] - b[x];
-                const std::int32_t cy = b[y + 1] - b[y];
-                if (cx != cy) return cx < cy;
-                return x < y;
-              });
+  const DenseSymbolId* row = from.row(i);
+  const DenseSymbolId* target = to.row(j);
+  for (std::int32_t k = 0; k < from.width(); ++k) {
+    if (from.sig_len(row[k]) > to.sig_len(target[k])) return false;
   }
+  for (std::int32_t k = 0; k < from.width(); ++k) {
+    if (!SignatureSubset(from.signature(row[k]), to.signature(target[k]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Candidate target rows per source row: the rows of the same relation
+// tag that pass IsCandidate, in ascending row order, minus
+// `exclude_target_row` (>= 0) — the reduction probe's leave-one-out
+// mode. Fills `cand` with the survivors and `begins` with rows+1 offsets
+// into it.
+void BuildLists(const SoaTemplate& from, const SoaTemplate& to,
+                bool fix_distinguished, std::int32_t exclude_target_row,
+                FilterCounters& counters, std::vector<std::int32_t>& cand,
+                std::vector<std::int32_t>& begins) {
+  cand.clear();
+  begins.assign(1, 0);
+  for (std::int32_t i = 0; i < from.num_rows(); ++i) {
+    if (const SoaRowGroup* group = to.GroupFor(from.row_rel(i))) {
+      ++counters.invocations;
+      for (std::int32_t j = group->begin; j < group->end; ++j) {
+        if (j == exclude_target_row) continue;
+        ++counters.rows;
+        if (IsCandidate(from, i, to, j, fix_distinguished)) {
+          cand.push_back(j);
+          ++counters.survivors;
+        }
+      }
+    }
+    begins.push_back(static_cast<std::int32_t>(cand.size()));
+  }
+}
+
+// The most-constrained-first visit order over lists with offsets
+// `begins`: source rows sorted by (candidate count, row index).
+void OrderByCandidateCount(const std::vector<std::int32_t>& begins,
+                           std::vector<std::int32_t>& order) {
+  order.resize(begins.size() - 1);
+  std::iota(order.begin(), order.end(), 0);
+  const std::int32_t* b = begins.data();
+  std::sort(order.begin(), order.end(), [b](std::int32_t x, std::int32_t y) {
+    const std::int32_t cx = b[x + 1] - b[x];
+    const std::int32_t cy = b[y + 1] - b[y];
+    if (cx != cy) return cx < cy;
+    return x < y;
+  });
 }
 
 // One search instance over prepared scratch. The candidate lists, visit
@@ -73,19 +101,17 @@ class KernelSearch {
         s_(scratch) {}
 
   bool Run() {
-    s_.candidates.clear();
-    s_.cand_begin.clear();
-    s_.order.clear();
-    BuildListsAppend(from_, to_, fix_distinguished_, exclude_target_row_,
-                     s_.backend, s_.filter, s_.candidates, s_.cand_begin,
-                     &s_.order);
+    BuildLists(from_, to_, fix_distinguished_, exclude_target_row_,
+               s_.filter, s_.candidates, s_.cand_begin);
+    OrderByCandidateCount(s_.cand_begin, s_.order);
     return RunPrepared(s_.candidates.data(), s_.cand_begin.data(),
                        s_.order.data());
   }
 
   /// Backtracking over externally prepared lists: `cand_begin` holds
-  /// rows+1 offsets into `candidates`, `order` the visit order. The wave
-  /// entry points call this with slices of the shared wave arenas.
+  /// rows+1 offsets into `candidates`, `order` the visit order.
+  /// SoaReduceSweep calls this with lists derived from one shared filter
+  /// pass.
   bool RunPrepared(const std::int32_t* candidates,
                    const std::int32_t* cand_begin,
                    const std::int32_t* order) {
@@ -196,13 +222,10 @@ std::int32_t SoaReduceSweep(const SoaTemplate& t, HomScratch& scratch) {
   // drop's candidate lists are the full lists minus the dropped target
   // row, because the filter predicate never depends on the exclusion —
   // excluding row d only removes d itself from every list.
-  auto& full_cand = scratch.wave_candidates;
-  auto& full_begin = scratch.wave_begin;
-  full_cand.clear();
-  full_begin.clear();
-  BuildListsAppend(t, t, /*fix_distinguished=*/true, /*exclude_target_row=*/-1,
-                   scratch.backend, scratch.filter, full_cand, full_begin,
-                   /*orders=*/nullptr);
+  const auto& full_cand = scratch.sweep_candidates;
+  const auto& full_begin = scratch.sweep_begin;
+  BuildLists(t, t, /*fix_distinguished=*/true, /*exclude_target_row=*/-1,
+             scratch.filter, scratch.sweep_candidates, scratch.sweep_begin);
   for (std::int32_t drop = 0; drop < rows; ++drop) {
     auto& cand = scratch.candidates;
     auto& begins = scratch.cand_begin;
@@ -219,92 +242,24 @@ std::int32_t SoaReduceSweep(const SoaTemplate& t, HomScratch& scratch) {
     }
     // Most-constrained-first order over the derived counts — identical
     // to what a per-drop filter pass would have produced.
-    auto& order = scratch.order;
-    order.clear();
-    for (std::int32_t i = 0; i < rows; ++i) order.push_back(i);
-    const std::int32_t* b = begins.data();
-    std::sort(order.begin(), order.end(), [b](std::int32_t x, std::int32_t y) {
-      const std::int32_t cx = b[x + 1] - b[x];
-      const std::int32_t cy = b[y + 1] - b[y];
-      if (cx != cy) return cx < cy;
-      return x < y;
-    });
+    OrderByCandidateCount(begins, scratch.order);
     KernelSearch search(t, t, HomMode::kHomomorphism, scratch, drop);
-    if (search.RunPrepared(cand.data(), begins.data(), order.data())) {
+    if (search.RunPrepared(cand.data(), begins.data(),
+                           scratch.order.data())) {
       return drop;
     }
   }
   return -1;
 }
 
-std::vector<char> SoaSearchWave(const std::vector<const SoaTemplate*>& froms,
-                                const SoaTemplate& to, HomMode mode,
-                                HomScratch& scratch) {
-  std::vector<char> results(froms.size(), 0);
-  const bool fix_distinguished = mode != HomMode::kRowEmbedding;
-
-  // Phase 1: one vectorized filter pass over the shared target prepares
-  // every source's candidate lists in the wave arenas.
-  auto& cand = scratch.wave_candidates;
-  auto& begins = scratch.wave_begin;
-  auto& orders = scratch.wave_order;
-  cand.clear();
-  begins.clear();
-  orders.clear();
-  struct Slice {
-    std::int32_t cand_base = -1;
-    std::int32_t begins_base = 0;
-    std::int32_t order_base = 0;
-  };
-  std::vector<Slice> slices(froms.size());
-  for (std::size_t i = 0; i < froms.size(); ++i) {
-    const SoaTemplate* from = froms[i];
-    if (from == nullptr || from->width() != to.width()) continue;
-    slices[i] = Slice{static_cast<std::int32_t>(cand.size()),
-                      static_cast<std::int32_t>(begins.size()),
-                      static_cast<std::int32_t>(orders.size())};
-    BuildListsAppend(*from, to, fix_distinguished, /*exclude_target_row=*/-1,
-                     scratch.backend, scratch.filter, cand, begins, &orders);
-  }
-
-  // Phase 2: backtracking over the prepared lists. A source with any
-  // empty candidate list is trivially unmappable — skip its search
-  // setup entirely (same verdict the search would reach).
-  for (std::size_t i = 0; i < froms.size(); ++i) {
-    if (slices[i].cand_base < 0) continue;
-    const SoaTemplate& from = *froms[i];
-    const std::int32_t rows = from.num_rows();
-    const std::int32_t* b =
-        begins.data() + static_cast<std::size_t>(slices[i].begins_base);
-    bool any_empty = false;
-    for (std::int32_t r = 0; r < rows; ++r) {
-      if (b[r + 1] == b[r]) {
-        any_empty = true;
-        break;
-      }
-    }
-    if (any_empty) continue;
-    KernelSearch search(from, to, mode, scratch);
-    results[i] =
-        search.RunPrepared(
-            cand.data() + static_cast<std::size_t>(slices[i].cand_base), b,
-            orders.data() + static_cast<std::size_t>(slices[i].order_base))
-            ? 1
-            : 0;
-  }
-  return results;
-}
-
 std::int64_t SoaBuildCandidates(const SoaTemplate& from, const SoaTemplate& to,
                                 HomMode mode, HomScratch& scratch) {
   VIEWCAP_CHECK(from.width() == to.width() &&
                 "SoaBuildCandidates: templates over different universes");
-  scratch.candidates.clear();
-  scratch.cand_begin.clear();
-  scratch.order.clear();
-  BuildListsAppend(from, to, mode != HomMode::kRowEmbedding,
-                   /*exclude_target_row=*/-1, scratch.backend, scratch.filter,
-                   scratch.candidates, scratch.cand_begin, &scratch.order);
+  BuildLists(from, to, mode != HomMode::kRowEmbedding,
+             /*exclude_target_row=*/-1, scratch.filter, scratch.candidates,
+             scratch.cand_begin);
+  OrderByCandidateCount(scratch.cand_begin, scratch.order);
   return static_cast<std::int64_t>(scratch.candidates.size());
 }
 

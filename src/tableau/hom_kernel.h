@@ -5,17 +5,13 @@
 // embedding, isomorphism) on the flat SoA form: bindings live in a flat
 // int32_t vector indexed by dense symbol id, candidate sets are
 // precomputed per-relation row ranges filtered by distinguished-position
-// masks and occurrence-signature unification prunes, and undo trails
-// reuse one scratch arena across searches. The search visits candidate
-// rows in exactly the same deterministic most-constrained-first order as
-// the legacy pointer-walking HomSearch (same candidate lists, same
-// (count, row-index) ordering), so verdicts and decoded SymbolMap
-// witnesses are bit-identical to the legacy path.
-//
-// The wave entry point evaluates a batch of source templates against one
-// shared target, amortizing scratch reuse and the target-side structures
-// across the batch — the bulk-submission interface the sharded
-// enumerator and the redundancy leave-one-out scan feed.
+// masks and occurrence-signature unification prunes (DESIGN.md,
+// "Candidate filter"), and undo trails reuse one scratch arena across
+// searches. The search visits candidate rows in exactly the same
+// deterministic most-constrained-first order as the legacy
+// pointer-walking HomSearch (same candidate lists, same (count,
+// row-index) ordering), so verdicts and decoded SymbolMap witnesses are
+// bit-identical to the legacy path.
 #ifndef VIEWCAP_TABLEAU_HOM_KERNEL_H_
 #define VIEWCAP_TABLEAU_HOM_KERNEL_H_
 
@@ -23,8 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "base/simd.h"
-#include "tableau/hom_filter.h"
 #include "tableau/soa.h"
 #include "tableau/tableau.h"
 
@@ -43,8 +37,19 @@ enum class HomMode {
   kIsomorphism,
 };
 
+/// Candidate-filter activity: `invocations` counts filter calls (one per
+/// source row with a matching target tag group), `rows` the candidate
+/// target rows tested, `survivors` the rows that passed.
+struct FilterCounters {
+  std::uint64_t invocations = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t survivors = 0;
+
+  bool operator==(const FilterCounters&) const = default;
+};
+
 /// Reusable per-thread search state. All arrays are sized on first use
-/// and only grow, so a scratch reused across a wave of searches does no
+/// and only grow, so a scratch reused across many searches does no
 /// steady-state allocation. Default-constructed scratch is valid.
 struct HomScratch {
   /// from-dense-id -> to-dense-id, kNoDenseSymbol when unbound.
@@ -59,21 +64,14 @@ struct HomScratch {
   std::vector<std::int32_t> cand_begin;
   /// Source rows in most-constrained-first (count, index) order.
   std::vector<std::int32_t> order;
-  /// Candidate-filter backend the searches run on, plus the filter's
-  /// scratch and counters. Every backend yields bit-identical candidate
-  /// lists (hom_filter.h), so this choice never affects verdicts or
-  /// witnesses — only throughput. The engine sets it from
-  /// EngineOptions::simd and harvests `filter.counters` into
-  /// per-backend stats after each search.
-  SimdBackend backend = DefaultSimdBackend();
-  FilterScratch filter;
-  /// Wave arenas: the batched entry points (SoaSearchWave,
-  /// SoaReduceSweep) pre-filter every candidate list of the batch into
-  /// these before any backtracking runs, so the filter makes one
-  /// vectorized pass over the shared target per wave.
-  std::vector<std::int32_t> wave_candidates;
-  std::vector<std::int32_t> wave_begin;
-  std::vector<std::int32_t> wave_order;
+  /// Filter counters accumulated by every search run on this scratch;
+  /// the engine zeroes them before its searches and folds them into its
+  /// stats after.
+  FilterCounters filter;
+  /// SoaReduceSweep's full-template candidate lists, filtered once and
+  /// shared by every drop's search.
+  std::vector<std::int32_t> sweep_candidates;
+  std::vector<std::int32_t> sweep_begin;
 };
 
 /// Runs one search from `from` into `to`, which must be lowered from
@@ -105,27 +103,10 @@ bool SoaReduceProbe(const SoaTemplate& t, std::int32_t drop,
 /// the answer bit-identical to the probe-per-drop loop.
 std::int32_t SoaReduceSweep(const SoaTemplate& t, HomScratch& scratch);
 
-/// Evaluates a wave of source templates against one shared target,
-/// reusing `scratch` across the batch. results[i] is the verdict for
-/// froms[i] (null pointers yield false). Width-mismatched entries are
-/// false, mirroring the universe check of the scalar entry points.
-///
-/// Phase 1 pre-filters every source's candidate lists into the wave
-/// arenas in one vectorized pass over the shared target (amortizing the
-/// target's masks, length rows and signature pool across the batch);
-/// phase 2 runs the backtracking searches over the prepared lists, with
-/// an any-empty-list early-out per source (an empty candidate list makes
-/// the search trivially false). Verdicts are bit-identical to calling
-/// SoaSearch per source.
-std::vector<char> SoaSearchWave(const std::vector<const SoaTemplate*>& froms,
-                                const SoaTemplate& to, HomMode mode,
-                                HomScratch& scratch);
-
 /// Runs only the candidate-filter stage of a search from `from` into
-/// `to` on scratch.backend, leaving the lists in scratch.candidates /
-/// scratch.cand_begin / scratch.order exactly as the search would see
-/// them. Returns the total survivor count. Exposed for the differential
-/// tests (survivor lists must be bit-identical across backends) and the
+/// `to`, leaving the lists in scratch.candidates / scratch.cand_begin /
+/// scratch.order exactly as the search would see them. Returns the total
+/// survivor count. Exposed for the filter's reference test and the
 /// filter benchmarks.
 std::int64_t SoaBuildCandidates(const SoaTemplate& from, const SoaTemplate& to,
                                 HomMode mode, HomScratch& scratch);

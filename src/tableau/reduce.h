@@ -18,9 +18,8 @@ struct HomScratch;
 Tableau Reduce(const Catalog& catalog, const Tableau& t);
 
 /// Same, reusing caller-provided kernel scratch — the engine passes its
-/// per-thread scratch so the all-n-drops sweep runs on the configured
-/// candidate-filter backend and its filter counters land in the engine
-/// stats.
+/// per-thread scratch so the all-n-drops sweep reuses its arenas and its
+/// filter counters land in the engine stats.
 Tableau Reduce(const Catalog& catalog, const Tableau& t, HomScratch& scratch);
 
 /// True when no proper subtemplate of `t` is equivalent to `t`.

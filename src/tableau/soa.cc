@@ -127,13 +127,6 @@ SoaTemplate SoaTemplate::Lower(const Tableau& t) {
     out.sig_pool_.resize(static_cast<std::size_t>(write));
   }
 
-  // Per-cell signature lengths for the filter's vector length prefilter;
-  // must come after dedup so lengths reflect the final runs.
-  out.sig_len_cells_.resize(num_cells);
-  for (std::size_t cell = 0; cell < num_cells; ++cell) {
-    out.sig_len_cells_[cell] = out.sig_len(out.cells_[cell]);
-  }
-
   // Rows of a Tableau are sorted by (rel, tuple), so each tag's rows are
   // already one contiguous range: grouping records range bounds without
   // reordering anything.

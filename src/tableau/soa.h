@@ -6,10 +6,8 @@
 // 64-bit Symbol into an unordered_map and allocates an undo trail. The
 // SoaTemplate lowers a Tableau once into contiguous dense-id arrays so the
 // homomorphism kernel (tableau/hom_kernel.h) runs over plain int32_t
-// loads, flat-array bindings and precomputed masks instead. The layout is
-// deliberately branch-lean and stride-regular: rows are fixed-stride
-// symbol-id spans grouped by relation tag, so a SIMD or GPU backend can
-// later evaluate candidate waves behind the same interface.
+// loads, flat-array bindings and precomputed masks instead: rows are
+// fixed-stride symbol-id spans grouped by relation tag.
 //
 // The encoding is lossless and order-preserving: SoA row i is Tableau row
 // i (rows of a Tableau are already sorted by (rel, tuple), so grouping by
@@ -114,20 +112,11 @@ class SoaTemplate {
   }
 
   /// Signature length (context count) of a dense symbol — the size of
-  /// signature(id), kept as its own array for the vectorized filter.
+  /// signature(id). The candidate filter compares lengths before the
+  /// subset test: a longer needle cannot be contained.
   std::int32_t sig_len(DenseSymbolId id) const {
     const std::size_t i = static_cast<std::size_t>(id);
     return sig_begin_[i + 1] - sig_begin_[i];
-  }
-
-  /// Per-cell signature lengths, row-major with the same stride as the
-  /// cell array: sig_len_row(i)[k] == sig_len(row(i)[k]). Materialized so
-  /// the filter's necessary-condition stage (|sig(source cell)| must not
-  /// exceed |sig(target cell)| for the subset check to hold) is a
-  /// contiguous int32 compare the SIMD backends evaluate 4/8 columns at a
-  /// time.
-  const std::int32_t* sig_len_row(std::int32_t i) const {
-    return sig_len_cells_.data() + static_cast<std::size_t>(i) * width_;
   }
 
   /// Decodes a dense id back to the original Symbol.
@@ -150,8 +139,7 @@ class SoaTemplate {
   // sig_pool_[sig_begin_[id], sig_begin_[id + 1]), sorted unique. One
   // flat pool instead of per-symbol vectors keeps Lower allocation-lean.
   std::vector<std::uint64_t> sig_pool_;
-  std::vector<std::int32_t> sig_begin_;     // num_symbols + 1.
-  std::vector<std::int32_t> sig_len_cells_;  // num_rows * width, row-major.
+  std::vector<std::int32_t> sig_begin_;  // num_symbols + 1.
 };
 
 /// True when the signature `needle` is contained in `haystack` (both

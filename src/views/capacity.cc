@@ -89,19 +89,6 @@ std::vector<RelId> QuerySet::Handles() const {
   return out;
 }
 
-CapacityOracle::CapacityOracle(const Catalog* catalog, QuerySet set,
-                               SearchLimits limits)
-    : owned_engine_(std::make_unique<Engine>(catalog)),
-      engine_(owned_engine_.get()),
-      catalog_(catalog),
-      set_(std::move(set)),
-      limits_(limits) {
-  InternMembers();
-}
-
-CapacityOracle::CapacityOracle(const View& view, SearchLimits limits)
-    : CapacityOracle(&view.catalog(), QuerySet::FromView(view), limits) {}
-
 CapacityOracle::CapacityOracle(Engine* engine, QuerySet set,
                                SearchLimits limits)
     : engine_(engine),

@@ -2,7 +2,6 @@
 #ifndef VIEWCAP_VIEWS_CAPACITY_H_
 #define VIEWCAP_VIEWS_CAPACITY_H_
 
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -99,20 +98,11 @@ struct ExhibitedConstruction {
 /// All closure kernels route through an Engine: levels and expansions are
 /// interned once, equivalence tests become TableauId comparisons, and
 /// whole membership verdicts are cached per (set fingerprint, limits,
-/// query class). Oracles built with the Engine* constructors share that
-/// machinery across query sets — dominance's two directions, redundancy's
-/// leave-one-out loops and the lattice all reuse one frontier; the legacy
-/// constructors own a private engine and behave like the historical
-/// implementation.
+/// query class). Oracles over one engine share that machinery across
+/// query sets — dominance's two directions, redundancy's leave-one-out
+/// loops and the lattice all reuse one frontier.
 class CapacityOracle {
  public:
-  /// Legacy: owns a private engine over `catalog`.
-  CapacityOracle(const Catalog* catalog, QuerySet set,
-                 SearchLimits limits = {});
-
-  /// Cap(V) membership for a view's capacity (legacy, private engine).
-  explicit CapacityOracle(const View& view, SearchLimits limits = {});
-
   /// Shares `engine` (and all its caches) with other oracles. The engine
   /// must be over the same catalog as the set and outlive the oracle.
   CapacityOracle(Engine* engine, QuerySet set, SearchLimits limits = {});
@@ -164,8 +154,7 @@ class CapacityOracle {
   /// Interns every member query and builds the set fingerprint.
   void InternMembers();
 
-  std::unique_ptr<Engine> owned_engine_;  // Legacy constructors only.
-  Engine* engine_;                        // Never null.
+  Engine* engine_;  // Never null.
   const Catalog* catalog_;
   QuerySet set_;
   SearchLimits limits_;

@@ -73,12 +73,6 @@ Result<DominanceResult> Dominates(Engine& engine, const View& v,
   return result;
 }
 
-Result<DominanceResult> Dominates(const View& v, const View& w,
-                                  SearchLimits limits) {
-  Engine engine(&v.catalog());
-  return Dominates(engine, v, w, limits);
-}
-
 Result<EquivalenceResult> AreEquivalent(Engine& engine, const View& v,
                                         const View& w, SearchLimits limits) {
   EquivalenceResult result;
@@ -106,12 +100,6 @@ Result<EquivalenceResult> AreEquivalent(Engine& engine, const View& v,
   result.inconclusive =
       result.v_over_w.inconclusive || result.w_over_v.inconclusive;
   return result;
-}
-
-Result<EquivalenceResult> AreEquivalent(const View& v, const View& w,
-                                        SearchLimits limits) {
-  Engine engine(&v.catalog());
-  return AreEquivalent(engine, v, w, limits);
 }
 
 }  // namespace viewcap

@@ -29,10 +29,6 @@ std::string DominanceKeyFor(const View& v, const View& w,
 Result<DominanceResult> Dominates(Engine& engine, const View& v,
                                   const View& w, SearchLimits limits = {});
 
-/// Legacy convenience: a private engine per call.
-Result<DominanceResult> Dominates(const View& v, const View& w,
-                                  SearchLimits limits = {});
-
 /// Outcome of the equivalence test (Theorem 1.5.5 / 2.4.12).
 struct EquivalenceResult {
   bool equivalent = false;
@@ -47,10 +43,6 @@ struct EquivalenceResult {
 /// reused by the reverse direction.
 Result<EquivalenceResult> AreEquivalent(Engine& engine, const View& v,
                                         const View& w,
-                                        SearchLimits limits = {});
-
-/// Legacy convenience: a private engine shared by the two directions.
-Result<EquivalenceResult> AreEquivalent(const View& v, const View& w,
                                         SearchLimits limits = {});
 
 }  // namespace viewcap

@@ -117,7 +117,8 @@ Result<EssentialResult> ClassifyEssential(const Catalog* catalog,
   // Refutation search (Proposition 3.2.5): look for an exhibited
   // construction of T from the set under which the row is not
   // self-descendent.
-  CapacityOracle oracle(catalog, set, limits);
+  Engine engine(catalog);
+  CapacityOracle oracle(&engine, set, limits);
   VIEWCAP_ASSIGN_OR_RETURN(
       std::vector<ExhibitedConstruction> constructions,
       oracle.FindConstructions(t, max_constructions));

@@ -71,13 +71,6 @@ Result<RedundancyResult> IsRedundant(Engine& engine, const QuerySet& set,
   return result;
 }
 
-Result<RedundancyResult> IsRedundant(const Catalog* catalog,
-                                     const QuerySet& set, std::size_t index,
-                                     SearchLimits limits) {
-  Engine engine(catalog);
-  return IsRedundant(engine, set, index, limits);
-}
-
 Result<bool> IsNonredundantSet(Engine& engine, const QuerySet& set,
                                SearchLimits limits, bool* inconclusive) {
   if (inconclusive != nullptr) *inconclusive = false;
@@ -108,12 +101,6 @@ Result<bool> IsNonredundantSet(Engine& engine, const QuerySet& set,
     }
   }
   return true;
-}
-
-Result<bool> IsNonredundantSet(const Catalog* catalog, const QuerySet& set,
-                               SearchLimits limits, bool* inconclusive) {
-  Engine engine(catalog);
-  return IsNonredundantSet(engine, set, limits, inconclusive);
 }
 
 Result<NonredundantViewResult> MakeNonredundant(Engine& engine,
@@ -187,24 +174,12 @@ Result<NonredundantViewResult> MakeNonredundant(Engine& engine,
   return result;
 }
 
-Result<NonredundantViewResult> MakeNonredundant(const View& view,
-                                                SearchLimits limits) {
-  Engine engine(&view.catalog());
-  return MakeNonredundant(engine, view, limits);
-}
-
 std::size_t NonredundantSizeBound(Engine& engine, const QuerySet& set) {
   std::size_t bound = 0;
   for (const QuerySet::Member& m : set.members()) {
     bound += engine.Reduced(m.query).size();
   }
   return bound;
-}
-
-std::size_t NonredundantSizeBound(const Catalog& catalog,
-                                  const QuerySet& set) {
-  Engine engine(&catalog);
-  return NonredundantSizeBound(engine, set);
 }
 
 }  // namespace viewcap

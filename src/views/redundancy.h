@@ -24,20 +24,10 @@ Result<RedundancyResult> IsRedundant(Engine& engine, const QuerySet& set,
                                      std::size_t index,
                                      SearchLimits limits = {});
 
-/// Legacy convenience: a private engine per call.
-Result<RedundancyResult> IsRedundant(const Catalog* catalog,
-                                     const QuerySet& set, std::size_t index,
-                                     SearchLimits limits = {});
-
 /// True when no member of `set` is redundant. `inconclusive` (optional out)
 /// is set when some membership search hit its budget. All leave-one-out
 /// tests share `engine`.
 Result<bool> IsNonredundantSet(Engine& engine, const QuerySet& set,
-                               SearchLimits limits = {},
-                               bool* inconclusive = nullptr);
-
-/// Legacy convenience: a private engine shared across the member tests.
-Result<bool> IsNonredundantSet(const Catalog* catalog, const QuerySet& set,
                                SearchLimits limits = {},
                                bool* inconclusive = nullptr);
 
@@ -61,19 +51,11 @@ Result<NonredundantViewResult> MakeNonredundant(Engine& engine,
                                                 const View& view,
                                                 SearchLimits limits = {});
 
-/// Legacy convenience: a private engine for the whole fixpoint.
-Result<NonredundantViewResult> MakeNonredundant(const View& view,
-                                                SearchLimits limits = {});
-
 /// The Lemma 3.1.6 bound: an integer n such that every nonredundant query
 /// set with the same closure as `set` has at most n members. We use
 /// n = sum over members of the reduced row count, which dominates the
 /// lemma's count of construction-template relation-name occurrences.
 std::size_t NonredundantSizeBound(Engine& engine, const QuerySet& set);
-
-/// Legacy convenience: reduces through a throwaway engine.
-std::size_t NonredundantSizeBound(const Catalog& catalog,
-                                  const QuerySet& set);
 
 }  // namespace viewcap
 

@@ -80,12 +80,6 @@ Result<SimplicityResult> IsSimple(Engine& engine, Catalog* catalog,
   return result;
 }
 
-Result<SimplicityResult> IsSimple(Catalog* catalog, const QuerySet& set,
-                                  std::size_t index, SearchLimits limits) {
-  Engine engine(catalog);
-  return IsSimple(engine, catalog, set, index, limits);
-}
-
 Result<bool> IsSimplifiedView(Engine& engine, Catalog* catalog,
                               const View& view, SearchLimits limits,
                               bool* inconclusive) {
@@ -100,12 +94,6 @@ Result<bool> IsSimplifiedView(Engine& engine, Catalog* catalog,
     }
   }
   return true;
-}
-
-Result<bool> IsSimplifiedView(Catalog* catalog, const View& view,
-                              SearchLimits limits, bool* inconclusive) {
-  Engine engine(catalog);
-  return IsSimplifiedView(engine, catalog, view, limits, inconclusive);
 }
 
 namespace {
@@ -229,12 +217,6 @@ Result<SimplifyOutcome> Simplify(Engine& engine, Catalog* catalog,
   return outcome;
 }
 
-Result<SimplifyOutcome> Simplify(Catalog* catalog, const View& view,
-                                 SearchLimits limits) {
-  Engine engine(catalog);
-  return Simplify(engine, catalog, view, limits);
-}
-
 Result<bool> SameQueriesUpToRenaming(Engine& engine, const View& a,
                                      const View& b) {
   if (a.size() != b.size()) return false;
@@ -261,11 +243,6 @@ Result<bool> SameQueriesUpToRenaming(Engine& engine, const View& a,
     return false;
   };
   return match(0);
-}
-
-Result<bool> SameQueriesUpToRenaming(const View& a, const View& b) {
-  Engine engine(&a.catalog());
-  return SameQueriesUpToRenaming(engine, a, b);
 }
 
 }  // namespace viewcap

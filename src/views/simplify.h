@@ -37,21 +37,11 @@ Result<SimplicityResult> IsSimple(Engine& engine, Catalog* catalog,
                                   const QuerySet& set, std::size_t index,
                                   SearchLimits limits = {});
 
-/// Legacy convenience: a private engine per call.
-Result<SimplicityResult> IsSimple(Catalog* catalog, const QuerySet& set,
-                                  std::size_t index,
-                                  SearchLimits limits = {});
-
 /// True when every definition of `view` is simple among the defining
 /// queries, i.e. the view is in normal form. All member tests share
 /// `engine`.
 Result<bool> IsSimplifiedView(Engine& engine, Catalog* catalog,
                               const View& view, SearchLimits limits = {},
-                              bool* inconclusive = nullptr);
-
-/// Legacy convenience: a private engine shared across the member tests.
-Result<bool> IsSimplifiedView(Catalog* catalog, const View& view,
-                              SearchLimits limits = {},
                               bool* inconclusive = nullptr);
 
 /// Outcome of normalization.
@@ -76,18 +66,11 @@ struct SimplifyOutcome {
 Result<SimplifyOutcome> Simplify(Engine& engine, Catalog* catalog,
                                  const View& view, SearchLimits limits = {});
 
-/// Legacy convenience: a private engine for the whole normalization.
-Result<SimplifyOutcome> Simplify(Catalog* catalog, const View& view,
-                                 SearchLimits limits = {});
-
 /// Theorem 4.2.2's notion of sameness: the views' defining query multisets
 /// match one-to-one under mapping equivalence (relation names ignored).
-/// With an engine the compatibility matrix is interned-id comparisons.
+/// The compatibility matrix is interned-id comparisons.
 Result<bool> SameQueriesUpToRenaming(Engine& engine, const View& a,
                                      const View& b);
-
-/// Legacy convenience: a private engine per call.
-Result<bool> SameQueriesUpToRenaming(const View& a, const View& b);
 
 }  // namespace viewcap
 

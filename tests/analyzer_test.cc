@@ -34,13 +34,13 @@ TEST_F(AnalyzerTest, LoadsViewsInOrder) {
 TEST_F(AnalyzerTest, EquivalenceWithReport) {
   std::string report;
   EquivalenceResult eq =
-      Unwrap(analyzer_.CheckEquivalence("V", "W", &report));
+      Unwrap(analyzer_.CheckEquivalence("V", "W", {}, &report));
   EXPECT_TRUE(eq.equivalent);
   EXPECT_NE(report.find("equivalent(V, W) = true"), std::string::npos);
   EXPECT_NE(report.find("answered by"), std::string::npos);
 
   EquivalenceResult neq =
-      Unwrap(analyzer_.CheckEquivalence("V", "Narrow", &report));
+      Unwrap(analyzer_.CheckEquivalence("V", "Narrow", {}, &report));
   EXPECT_FALSE(neq.equivalent);
   EXPECT_NE(report.find("NOT answerable"), std::string::npos);
 }
@@ -48,11 +48,12 @@ TEST_F(AnalyzerTest, EquivalenceWithReport) {
 TEST_F(AnalyzerTest, AnswerableQueries) {
   std::string report;
   MembershipResult yes = Unwrap(analyzer_.CheckAnswerable(
-      "W", "pi{A,C}(pi{A,B}(r) * pi{B,C}(r))", &report));
+      "W", "pi{A,C}(pi{A,B}(r) * pi{B,C}(r))", {}, &report));
   EXPECT_TRUE(yes.member);
   EXPECT_NE(report.find("answerable via"), std::string::npos);
 
-  MembershipResult no = Unwrap(analyzer_.CheckAnswerable("W", "r", &report));
+  MembershipResult no =
+      Unwrap(analyzer_.CheckAnswerable("W", "r", {}, &report));
   EXPECT_FALSE(no.member);
   EXPECT_NE(report.find("not answerable"), std::string::npos);
 }
@@ -73,7 +74,7 @@ TEST_F(AnalyzerTest, RedundancyEliminationRegistersResult) {
   )"));
   std::string report;
   NonredundantViewResult nr =
-      Unwrap(analyzer_.EliminateRedundancy("R3", &report));
+      Unwrap(analyzer_.EliminateRedundancy("R3", {}, &report));
   // Greedy order drops a (= pi_AB(c)) and then b (= pi_BC(c)), leaving the
   // singleton {c} — the Example 3.1.5 phenomenon that nonredundant
   // equivalents come in different sizes.
@@ -84,7 +85,7 @@ TEST_F(AnalyzerTest, RedundancyEliminationRegistersResult) {
 
 TEST_F(AnalyzerTest, SimplifyRegistersResult) {
   std::string report;
-  SimplifyOutcome outcome = Unwrap(analyzer_.SimplifyView("V", &report));
+  SimplifyOutcome outcome = Unwrap(analyzer_.SimplifyView("V", {}, &report));
   EXPECT_EQ(outcome.view.size(), 2u);
   EXPECT_TRUE(analyzer_.GetView("V_simplified").ok());
   EXPECT_NE(report.find("simplified in"), std::string::npos);
@@ -107,10 +108,9 @@ TEST_F(AnalyzerTest, DuplicateViewNameRejected) {
 TEST_F(AnalyzerTest, LimitsArePluggable) {
   SearchLimits limits;
   limits.max_candidates = 1;
-  analyzer_.set_limits(limits);
   // A non-member query under a starved budget: the analyzer reports the
   // exhaustion instead of a clean negative.
-  MembershipResult m = Unwrap(analyzer_.CheckAnswerable("W", "r"));
+  MembershipResult m = Unwrap(analyzer_.CheckAnswerable("W", "r", limits));
   EXPECT_FALSE(m.member);
   EXPECT_TRUE(m.budget_exhausted);
 }
@@ -118,7 +118,7 @@ TEST_F(AnalyzerTest, LimitsArePluggable) {
 TEST_F(AnalyzerTest, LatticeClassifiesAllPairs) {
   std::string report;
   std::vector<Analyzer::LatticeEntry> entries =
-      Unwrap(analyzer_.CompareAllViews(&report));
+      Unwrap(analyzer_.CompareAllViews({}, &report));
   ASSERT_EQ(entries.size(), 3u);  // C(3,2) pairs.
   // V ~ W equivalent; both strictly dominate Narrow.
   for (const Analyzer::LatticeEntry& e : entries) {
@@ -138,7 +138,7 @@ TEST_F(AnalyzerTest, LatticeClassifiesAllPairs) {
 TEST_F(AnalyzerTest, MinimizeQuery) {
   std::string report;
   MinimizeResult result = Unwrap(analyzer_.MinimizeQuery(
-      "pi{A,B}(r) * pi{A,B}(r * r)", &report));
+      "pi{A,B}(r) * pi{A,B}(r * r)", {}, &report));
   EXPECT_EQ(result.leaves_after, 1u);
   EXPECT_TRUE(result.minimal);
   EXPECT_NE(report.find("-> 1 leaves"), std::string::npos);

@@ -13,6 +13,7 @@
 namespace viewcap {
 namespace {
 
+using testing::EngineFactory;
 using testing::MustParse;
 using testing::Row;
 using testing::Unwrap;
@@ -37,6 +38,7 @@ class CapacityTest : public ::testing::Test {
   }
 
   Catalog catalog_;
+  EngineFactory engines_{&catalog_};
   AttrSet u_;
   RelId r_ = kInvalidRel, w1_ = kInvalidRel, w2_ = kInvalidRel;
   DbSchema base_;
@@ -45,7 +47,7 @@ class CapacityTest : public ::testing::Test {
 
 TEST_F(CapacityTest, DefiningQueriesAreInCapacity) {
   // Theorem 1.5.2 part (ii): F is contained in Cap(V).
-  CapacityOracle oracle(*view_);
+  CapacityOracle oracle(&engines_.New(), *view_);
   for (const ViewDefinition& d : view_->definitions()) {
     MembershipResult m = Unwrap(oracle.Contains(d.tableau));
     EXPECT_TRUE(m.member);
@@ -62,7 +64,7 @@ TEST_F(CapacityTest, DefiningQueriesAreInCapacity) {
 TEST_F(CapacityTest, CapacityClosedUnderProjectionAndJoin) {
   // Theorem 1.5.2 part (i), spot-checked: projections and joins of members
   // are members.
-  CapacityOracle oracle(*view_);
+  CapacityOracle oracle(&engines_.New(), *view_);
   const char* derived[] = {
       "pi{A}(pi{A,B}(r))",
       "pi{B}(pi{B,C}(r))",
@@ -77,7 +79,7 @@ TEST_F(CapacityTest, CapacityClosedUnderProjectionAndJoin) {
 }
 
 TEST_F(CapacityTest, NonMembersRejected) {
-  CapacityOracle oracle(*view_);
+  CapacityOracle oracle(&engines_.New(), *view_);
   // The full relation r cannot be recovered from its two projections.
   const char* non_members[] = {
       "r",
@@ -94,7 +96,7 @@ TEST_F(CapacityTest, NonMembersRejected) {
 TEST_F(CapacityTest, WitnessExpansionIsEquivalentToQuery) {
   // Theorem 2.3.2: the witness is a construction; its expansion through
   // the defining queries realizes the query's mapping.
-  CapacityOracle oracle(*view_);
+  CapacityOracle oracle(&engines_.New(), *view_);
   ExprPtr query = MustParse(catalog_, "pi{A,C}(pi{A,B}(r) * pi{B,C}(r))");
   MembershipResult m = Unwrap(oracle.Contains(query));
   ASSERT_TRUE(m.member);
@@ -107,7 +109,7 @@ TEST_F(CapacityTest, WitnessExpansionIsEquivalentToQuery) {
 }
 
 TEST_F(CapacityTest, UniverseMismatchIsIllFormed) {
-  CapacityOracle oracle(*view_);
+  CapacityOracle oracle(&engines_.New(), *view_);
   // A perfectly valid template, but over the universe {A,B} instead of the
   // query set's {A,B,C} (w1 has type {A,B}, so it fits the small universe).
   AttrSet small = catalog_.MakeScheme({"A", "B"});
@@ -119,7 +121,7 @@ TEST_F(CapacityTest, UniverseMismatchIsIllFormed) {
 TEST_F(CapacityTest, BudgetExhaustionIsReported) {
   SearchLimits limits;
   limits.max_candidates = 1;  // Absurdly small.
-  CapacityOracle oracle(*view_, limits);
+  CapacityOracle oracle(&engines_.New(), *view_, limits);
   // A non-member: the canonical-witness fast path fails and the (capped)
   // enumeration gives up immediately.
   MembershipResult m = Unwrap(oracle.Contains(MustParse(catalog_, "r")));
@@ -128,13 +130,13 @@ TEST_F(CapacityTest, BudgetExhaustionIsReported) {
 }
 
 TEST_F(CapacityTest, LeafBudgetFollowsReducedQuerySize) {
-  CapacityOracle oracle(*view_);
+  CapacityOracle oracle(&engines_.New(), *view_);
   MembershipResult m =
       Unwrap(oracle.Contains(MustParse(catalog_, "pi{A,B}(r)")));
   EXPECT_EQ(m.leaf_budget, 1u);
   SearchLimits slack;
   slack.extra_leaves = 2;
-  CapacityOracle oracle2(*view_, slack);
+  CapacityOracle oracle2(&engines_.New(), *view_, slack);
   MembershipResult m2 =
       Unwrap(oracle2.Contains(MustParse(catalog_, "pi{A,B}(r)")));
   EXPECT_EQ(m2.leaf_budget, 3u);
@@ -171,7 +173,7 @@ TEST_F(CapacityTest, QuerySetWithoutAndWith) {
 }
 
 TEST_F(CapacityTest, EnumerateCapacityListsDistinctMembers) {
-  CapacityOracle oracle(*view_);
+  CapacityOracle oracle(&engines_.New(), *view_);
   std::vector<CapacityOracle::CapacityEntry> one_leaf =
       Unwrap(oracle.EnumerateCapacity(1, 100));
   // w1, w2 and their single-attribute projections — with pi_B(w1) and
@@ -197,7 +199,7 @@ TEST_F(CapacityTest, EnumerateCapacityListsDistinctMembers) {
 }
 
 TEST_F(CapacityTest, EnumerateCapacityHonorsEntryCap) {
-  CapacityOracle oracle(*view_);
+  CapacityOracle oracle(&engines_.New(), *view_);
   std::vector<CapacityOracle::CapacityEntry> capped =
       Unwrap(oracle.EnumerateCapacity(2, 3));
   EXPECT_EQ(capped.size(), 3u);
@@ -234,7 +236,8 @@ TEST(Section23Test, ConstructionExample) {
   RelId h2 = Unwrap(catalog.AddRelation("q_s2", u));
   QuerySet set = Unwrap(QuerySet::Create(
       &catalog, u, {QuerySet::Member{h1, s1}, QuerySet::Member{h2, s2}}));
-  CapacityOracle oracle(&catalog, set);
+  Engine engine(&catalog);
+  CapacityOracle oracle(&engine, set);
   MembershipResult m = Unwrap(oracle.Contains(q));
   EXPECT_TRUE(m.member);
   ASSERT_NE(m.witness, nullptr);

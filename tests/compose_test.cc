@@ -12,6 +12,7 @@
 namespace viewcap {
 namespace {
 
+using testing::EngineFactory;
 using testing::MustParse;
 using testing::Unwrap;
 
@@ -35,6 +36,7 @@ class ComposeTest : public ::testing::Test {
   }
 
   Catalog catalog_;
+  EngineFactory engines_{&catalog_};
   RelId r_ = kInvalidRel, s_ = kInvalidRel;
   RelId v1_ = kInvalidRel, v2_ = kInvalidRel, w_ = kInvalidRel;
   DbSchema base_;
@@ -70,10 +72,11 @@ TEST_F(ComposeTest, CompositionSemantics) {
 
 TEST_F(ComposeTest, CompositionNeverGainsCapacity) {
   View composed = Unwrap(Compose(*inner_, *outer_));
-  DominanceResult dom = Unwrap(Dominates(*inner_, composed));
+  DominanceResult dom = Unwrap(Dominates(engines_.New(), *inner_, composed));
   EXPECT_TRUE(dom.dominates);
   // And here it genuinely loses capacity (v1 is not recoverable from w).
-  DominanceResult reverse = Unwrap(Dominates(composed, *inner_));
+  DominanceResult reverse =
+      Unwrap(Dominates(engines_.New(), composed, *inner_));
   EXPECT_FALSE(reverse.dominates);
 }
 
@@ -115,7 +118,8 @@ TEST(AnalyzerComposeTest, TextualViewsOfViewsAreFlattenedAtLoad) {
   }
   // And it is dominated by Inner (composition never gains capacity).
   const View* inner = Unwrap(analyzer.GetView("Inner"));
-  EXPECT_TRUE(Unwrap(Dominates(*inner, *outer)).dominates);
+  Engine engine(&analyzer.catalog());
+  EXPECT_TRUE(Unwrap(Dominates(engine, *inner, *outer)).dominates);
 }
 
 TEST(AnalyzerComposeTest, ComposeViaAnalyzer) {
@@ -136,7 +140,8 @@ TEST(AnalyzerComposeTest, ComposeViaAnalyzer) {
   const View* inner = Unwrap(analyzer.GetView("Inner"));
   View composed = Unwrap(Compose(*inner, outer));
   EXPECT_EQ(composed.size(), 1u);
-  EXPECT_TRUE(Unwrap(Dominates(*inner, composed)).dominates);
+  Engine engine(&catalog);
+  EXPECT_TRUE(Unwrap(Dominates(engine, *inner, composed)).dominates);
 }
 
 }  // namespace

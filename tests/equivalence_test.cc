@@ -12,6 +12,7 @@
 namespace viewcap {
 namespace {
 
+using testing::EngineFactory;
 using testing::MustParse;
 using testing::Unwrap;
 
@@ -37,6 +38,7 @@ class Example315Test : public ::testing::Test {
   }
 
   Catalog catalog_;
+  EngineFactory engines_{&catalog_};
   AttrSet u_;
   RelId r_ = kInvalidRel;
   DbSchema base_;
@@ -44,7 +46,7 @@ class Example315Test : public ::testing::Test {
 };
 
 TEST_F(Example315Test, ViewsAreEquivalent) {
-  EquivalenceResult result = Unwrap(AreEquivalent(*v_, *w_));
+  EquivalenceResult result = Unwrap(AreEquivalent(engines_.New(), *v_, *w_));
   EXPECT_TRUE(result.equivalent);
   EXPECT_FALSE(result.inconclusive);
   EXPECT_TRUE(result.v_over_w.dominates);
@@ -52,7 +54,7 @@ TEST_F(Example315Test, ViewsAreEquivalent) {
 }
 
 TEST_F(Example315Test, WitnessesAnswerTheOtherViewsQueries) {
-  EquivalenceResult result = Unwrap(AreEquivalent(*v_, *w_));
+  EquivalenceResult result = Unwrap(AreEquivalent(engines_.New(), *v_, *w_));
   // Every W-definition has a V-schema expression answering it, whose
   // expansion through V realizes the same mapping.
   for (std::size_t j = 0; j < w_->size(); ++j) {
@@ -68,7 +70,7 @@ TEST_F(Example315Test, WitnessesAnswerTheOtherViewsQueries) {
 TEST_F(Example315Test, EquivalentViewsMayDifferInSize) {
   EXPECT_EQ(v_->size(), 1u);
   EXPECT_EQ(w_->size(), 2u);
-  EXPECT_TRUE(Unwrap(AreEquivalent(*v_, *w_)).equivalent);
+  EXPECT_TRUE(Unwrap(AreEquivalent(engines_.New(), *v_, *w_)).equivalent);
 }
 
 TEST_F(Example315Test, FullRelationViewStrictlyDominates) {
@@ -76,20 +78,20 @@ TEST_F(Example315Test, FullRelationViewStrictlyDominates) {
   View big = Unwrap(View::Create(&catalog_, base_,
                                  {{full, MustParse(catalog_, "r")}}, "Big"));
   // Cap(W) is contained in Cap(Big) but not conversely.
-  DominanceResult big_over_w = Unwrap(Dominates(big, *w_));
+  DominanceResult big_over_w = Unwrap(Dominates(engines_.New(), big, *w_));
   EXPECT_TRUE(big_over_w.dominates);
-  DominanceResult w_over_big = Unwrap(Dominates(*w_, big));
+  DominanceResult w_over_big = Unwrap(Dominates(engines_.New(), *w_, big));
   EXPECT_FALSE(w_over_big.dominates);
   EXPECT_EQ(w_over_big.missing.size(), 1u);
-  EquivalenceResult eq = Unwrap(AreEquivalent(big, *w_));
+  EquivalenceResult eq = Unwrap(AreEquivalent(engines_.New(), big, *w_));
   EXPECT_FALSE(eq.equivalent);
 }
 
 TEST_F(Example315Test, EquivalenceIsReflexiveAndSymmetric) {
-  EXPECT_TRUE(Unwrap(AreEquivalent(*v_, *v_)).equivalent);
-  EXPECT_TRUE(Unwrap(AreEquivalent(*w_, *w_)).equivalent);
-  EXPECT_EQ(Unwrap(AreEquivalent(*v_, *w_)).equivalent,
-            Unwrap(AreEquivalent(*w_, *v_)).equivalent);
+  EXPECT_TRUE(Unwrap(AreEquivalent(engines_.New(), *v_, *v_)).equivalent);
+  EXPECT_TRUE(Unwrap(AreEquivalent(engines_.New(), *w_, *w_)).equivalent);
+  EXPECT_EQ(Unwrap(AreEquivalent(engines_.New(), *v_, *w_)).equivalent,
+            Unwrap(AreEquivalent(engines_.New(), *w_, *v_)).equivalent);
 }
 
 TEST_F(Example315Test, DominanceRequiresSharedUniverse) {
@@ -100,7 +102,8 @@ TEST_F(Example315Test, DominanceRequiresSharedUniverse) {
   RelId ov = Unwrap(other.AddRelation("ov", other.MakeScheme({"X", "Y"})));
   View foreign = Unwrap(
       View::Create(&other, other_base, {{ov, MustParse(other, "r")}}));
-  EXPECT_EQ(Dominates(*v_, foreign).status().code(), StatusCode::kIllFormed);
+  EXPECT_EQ(Dominates(engines_.New(), *v_, foreign).status().code(),
+            StatusCode::kIllFormed);
 }
 
 // Transitivity check on a chain of three pairwise-equivalent views.
@@ -115,9 +118,9 @@ TEST_F(Example315Test, EquivalenceIsTransitiveOnChain) {
        {m2, MustParse(catalog_, "pi{B,C}(r)")},
        {m3, MustParse(catalog_, "pi{A,B}(r) * pi{B,C}(r)")}},
       "X"));
-  EXPECT_TRUE(Unwrap(AreEquivalent(*v_, *w_)).equivalent);
-  EXPECT_TRUE(Unwrap(AreEquivalent(*w_, x)).equivalent);
-  EXPECT_TRUE(Unwrap(AreEquivalent(*v_, x)).equivalent);
+  EXPECT_TRUE(Unwrap(AreEquivalent(engines_.New(), *v_, *w_)).equivalent);
+  EXPECT_TRUE(Unwrap(AreEquivalent(engines_.New(), *w_, x)).equivalent);
+  EXPECT_TRUE(Unwrap(AreEquivalent(engines_.New(), *v_, x)).equivalent);
 }
 
 // Views over different base relations are never equivalent when a defining
@@ -133,7 +136,8 @@ TEST(EquivalenceTest, DistinctRelationNamesSeparateCapacities) {
       Unwrap(View::Create(&catalog, base, {{vr, MustParse(catalog, "r")}}));
   View view_s =
       Unwrap(View::Create(&catalog, base, {{vs, MustParse(catalog, "s")}}));
-  EquivalenceResult eq = Unwrap(AreEquivalent(view_r, view_s));
+  Engine engine(&catalog);
+  EquivalenceResult eq = Unwrap(AreEquivalent(engine, view_r, view_s));
   EXPECT_FALSE(eq.equivalent);
   EXPECT_FALSE(eq.v_over_w.dominates);
   EXPECT_FALSE(eq.w_over_v.dominates);

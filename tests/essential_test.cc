@@ -13,6 +13,7 @@
 namespace viewcap {
 namespace {
 
+using testing::EngineFactory;
 using testing::MustParse;
 using testing::Row;
 using testing::Unwrap;
@@ -83,6 +84,7 @@ class Figure2Test : public ::testing::Test {
   }
 
   Catalog catalog_;
+  EngineFactory engines_{&catalog_};
   AttrSet u_, ab_;
   RelId eta1_ = kInvalidRel, eta2_ = kInvalidRel;
   RelId lambda1_ = kInvalidRel, lambda2_ = kInvalidRel,
@@ -168,7 +170,7 @@ TEST_F(Figure2Test, EssentialComponentCertifiesNonredundancy) {
       Unwrap(FindEssentialComponent(&catalog_, set, 1, SearchLimits{}, 128));
   ASSERT_TRUE(component.has_value());
   EXPECT_EQ(*component, (std::vector<std::size_t>{tau3_}));
-  EXPECT_FALSE(Unwrap(IsRedundant(&catalog_, set, 1)).redundant);
+  EXPECT_FALSE(Unwrap(IsRedundant(engines_.New(), set, 1)).redundant);
 }
 
 TEST_F(Figure2Test, SigmaIsEssentialSoSIsNonredundant) {
@@ -176,7 +178,7 @@ TEST_F(Figure2Test, SigmaIsEssentialSoSIsNonredundant) {
   EssentialResult r =
       Unwrap(ClassifyEssential(&catalog_, set, /*member=*/0, 0));
   EXPECT_EQ(r.verdict, EssentialVerdict::kEssential);
-  EXPECT_FALSE(Unwrap(IsRedundant(&catalog_, set, 0)).redundant);
+  EXPECT_FALSE(Unwrap(IsRedundant(engines_.New(), set, 0)).redundant);
 }
 
 TEST_F(Figure2Test, TrivialConstructionKeepsEverythingSelfDescendent) {
@@ -208,7 +210,7 @@ TEST_F(Figure2Test, Theorem339EssentialDescendantsConstruction) {
   // descendant (w.r.t. T) of a row of Q is an essential tagged tuple of T
   // — here, lands in {tau3}.
   QuerySet set = MakeQuerySet();
-  CapacityOracle oracle(&catalog_, set);
+  CapacityOracle oracle(&engines_.New(), set);
   std::vector<ExhibitedConstruction> constructions =
       Unwrap(oracle.FindConstructions(*t_, 64));
   ASSERT_FALSE(constructions.empty());

@@ -1,11 +1,14 @@
 // Differential suite for the flat SoA homomorphism kernel
 // (tableau/soa.h, tableau/hom_kernel.h): across a seeded random corpus
 // the kernel must match the legacy HomSearch oracle bit for bit —
-// verdicts, SymbolMap witnesses, and (at the engine level) EngineStats
-// counters for threads {1, 2, 8}.
+// verdicts and SymbolMap witnesses — and, at the engine level, every
+// interning and row-embedding answer must match the oracle for threads
+// {1, 2, 8}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -289,38 +292,36 @@ TEST_F(HomKernelTest, ReduceProbeMatchesSubsetSearch) {
   }
 }
 
-TEST_F(HomKernelTest, WaveMatchesScalarSearches) {
-  Random rng(4242);
-  const Tableau target = T("r * s * t");
-  const SoaTemplate target_soa = SoaTemplate::Lower(target);
-  std::vector<Tableau> sources;
-  std::vector<SoaTemplate> lowered;
-  for (int i = 0; i < 12; ++i) {
-    sources.push_back(RandomTableau(rng, 3));
-    lowered.push_back(SoaTemplate::Lower(sources.back()));
-  }
-  std::vector<const SoaTemplate*> pointers;
-  for (const SoaTemplate& soa : lowered) pointers.push_back(&soa);
-  HomScratch scratch;
-  const std::vector<char> wave =
-      SoaSearchWave(pointers, target_soa, HomMode::kRowEmbedding, scratch);
-  ASSERT_EQ(wave.size(), sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(wave[i] != 0, HasRowEmbedding(catalog_, sources[i], target))
-        << i;
+TEST_F(HomKernelTest, ReduceSweepMatchesPerDropProbes) {
+  // The all-n-drops sweep filters once and derives every drop's lists
+  // from that pass; it must return the first drop a per-drop probe
+  // accepts (or -1 when none does).
+  Random rng(2718);
+  for (int round = 0; round < 60; ++round) {
+    const Tableau t = RandomTableau(rng, 4);
+    const SoaTemplate soa = SoaTemplate::Lower(t);
+    HomScratch scratch;
+    const std::int32_t sweep = SoaReduceSweep(soa, scratch);
+    std::int32_t probe = -1;
+    for (std::int32_t drop = 0; drop < soa.num_rows(); ++drop) {
+      if (SoaReduceProbe(soa, drop, scratch)) {
+        probe = drop;
+        break;
+      }
+    }
+    EXPECT_EQ(sweep, probe) << round;
   }
 }
 
-// --- SIMD backends: survivor lists and verdicts bit-identical ----------
+// --- Candidate filter vs its defining predicate ------------------------
 
-TEST_F(HomKernelTest, FilterBackendsProduceIdenticalSurvivorLists) {
-  // Every compiled-and-runnable backend must emit the scalar oracle's
-  // candidate lists bit for bit: same survivors, same offsets, same
-  // most-constrained order, same filter counters. This is the invariant
-  // that makes backend choice invisible to verdicts and witnesses.
-  const std::vector<SimdBackend> backends = AvailableSimdBackends();
-  ASSERT_FALSE(backends.empty());
-  ASSERT_EQ(backends.front(), SimdBackend::kScalar);
+TEST_F(HomKernelTest, CandidateFilterMatchesReferencePredicate) {
+  // SoaBuildCandidates must list exactly the target rows the filter's
+  // defining predicate accepts, in ascending row order, with the
+  // most-constrained-first visit order, and count its work exactly. The
+  // reference below has no signature-length check: that check is only a
+  // prune, so a row it rejects but the subset test accepts shows up here
+  // as a missing candidate.
   Random rng(31415);
   std::size_t nonempty_lists = 0;
   for (int round = 0; round < 120; ++round) {
@@ -332,138 +333,59 @@ TEST_F(HomKernelTest, FilterBackendsProduceIdenticalSurvivorLists) {
     const SoaTemplate to = SoaTemplate::Lower(b);
     for (const HomMode mode :
          {HomMode::kHomomorphism, HomMode::kRowEmbedding}) {
-      HomScratch scalar;
-      scalar.backend = SimdBackend::kScalar;
-      const std::int64_t scalar_survivors =
-          SoaBuildCandidates(from, to, mode, scalar);
-      if (scalar_survivors > 0) ++nonempty_lists;
-      for (std::size_t bi = 1; bi < backends.size(); ++bi) {
-        SCOPED_TRACE(StrCat("round=", round, " backend=",
-                            SimdBackendName(backends[bi])));
-        HomScratch vec;
-        vec.backend = backends[bi];
-        EXPECT_EQ(SoaBuildCandidates(from, to, mode, vec), scalar_survivors);
-        EXPECT_EQ(vec.candidates, scalar.candidates);
-        EXPECT_EQ(vec.cand_begin, scalar.cand_begin);
-        EXPECT_EQ(vec.order, scalar.order);
-        EXPECT_EQ(vec.filter.counters, scalar.filter.counters);
+      SCOPED_TRACE(StrCat("round=", round, " mode=", static_cast<int>(mode)));
+      const bool fix_distinguished = mode != HomMode::kRowEmbedding;
+      FilterCounters counters;
+      std::vector<std::int32_t> candidates;
+      std::vector<std::int32_t> cand_begin = {0};
+      for (std::int32_t i = 0; i < from.num_rows(); ++i) {
+        bool tag_seen = false;
+        for (std::int32_t j = 0; j < to.num_rows(); ++j) {
+          if (to.row_rel(j) != from.row_rel(i)) continue;
+          tag_seen = true;
+          ++counters.rows;
+          bool accepted = true;
+          for (std::int32_t k = 0; k < from.width(); ++k) {
+            const DenseSymbolId source = from.row(i)[k];
+            const DenseSymbolId target = to.row(j)[k];
+            if (fix_distinguished && from.IsDistinguished(source) &&
+                !to.IsDistinguished(target)) {
+              accepted = false;
+            }
+            if (!SignatureSubset(from.signature(source),
+                                 to.signature(target))) {
+              accepted = false;
+            }
+          }
+          if (accepted) candidates.push_back(j);
+        }
+        if (tag_seen) ++counters.invocations;
+        cand_begin.push_back(static_cast<std::int32_t>(candidates.size()));
       }
+      counters.survivors = candidates.size();
+      std::vector<std::int32_t> order(
+          static_cast<std::size_t>(from.num_rows()));
+      std::iota(order.begin(), order.end(), 0);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::int32_t x, std::int32_t y) {
+                         return cand_begin[x + 1] - cand_begin[x] <
+                                cand_begin[y + 1] - cand_begin[y];
+                       });
+
+      HomScratch scratch;
+      EXPECT_EQ(SoaBuildCandidates(from, to, mode, scratch),
+                static_cast<std::int64_t>(candidates.size()));
+      EXPECT_EQ(scratch.candidates, candidates);
+      EXPECT_EQ(scratch.cand_begin, cand_begin);
+      EXPECT_EQ(scratch.order, order);
+      EXPECT_EQ(scratch.filter, counters);
+      if (!candidates.empty()) ++nonempty_lists;
     }
   }
   EXPECT_GE(nonempty_lists, 40u);  // The corpus must exercise survivors.
 }
 
-TEST_F(HomKernelTest, FilterBackendsAgreeOnReduceProbesAndWaves) {
-  const std::vector<SimdBackend> backends = AvailableSimdBackends();
-  Random rng(2718);
-  for (int round = 0; round < 60; ++round) {
-    const Tableau t = RandomTableau(rng, 4);
-    const SoaTemplate soa = SoaTemplate::Lower(t);
-    // The all-n-drops sweep must agree with per-drop probes on every
-    // backend — and across backends.
-    std::optional<std::int32_t> expected_sweep;
-    for (const SimdBackend backend : backends) {
-      SCOPED_TRACE(StrCat("round=", round, " backend=",
-                          SimdBackendName(backend)));
-      HomScratch scratch;
-      scratch.backend = backend;
-      const std::int32_t sweep = SoaReduceSweep(soa, scratch);
-      std::int32_t probe = -1;
-      for (std::int32_t drop = 0; drop < soa.num_rows(); ++drop) {
-        if (SoaReduceProbe(soa, drop, scratch)) {
-          probe = drop;
-          break;
-        }
-      }
-      EXPECT_EQ(sweep, probe);
-      if (!expected_sweep.has_value()) {
-        expected_sweep = sweep;
-      } else {
-        EXPECT_EQ(sweep, *expected_sweep);
-      }
-    }
-  }
-  // Waves: phase-1 prefilter + phase-2 searches match scalar verdicts on
-  // every backend.
-  const Tableau target = T("r * s * t * u");
-  const SoaTemplate target_soa = SoaTemplate::Lower(target);
-  std::vector<Tableau> sources;
-  std::vector<SoaTemplate> lowered;
-  for (int i = 0; i < 16; ++i) {
-    sources.push_back(RandomTableau(rng, 3));
-    lowered.push_back(SoaTemplate::Lower(sources.back()));
-  }
-  std::vector<const SoaTemplate*> pointers;
-  for (const SoaTemplate& soa : lowered) pointers.push_back(&soa);
-  for (const HomMode mode : {HomMode::kHomomorphism, HomMode::kRowEmbedding}) {
-    std::optional<std::vector<char>> expected_wave;
-    for (const SimdBackend backend : backends) {
-      SCOPED_TRACE(StrCat("mode=", static_cast<int>(mode), " backend=",
-                          SimdBackendName(backend)));
-      HomScratch scratch;
-      scratch.backend = backend;
-      const std::vector<char> wave =
-          SoaSearchWave(pointers, target_soa, mode, scratch);
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        EXPECT_EQ(wave[i] != 0,
-                  SoaSearch(lowered[i], target_soa, mode, scratch, nullptr))
-            << i;
-      }
-      if (!expected_wave.has_value()) {
-        expected_wave = wave;
-      } else {
-        EXPECT_EQ(wave, *expected_wave);
-      }
-    }
-  }
-}
-
-// --- Engine level: SoA vs legacy kernels, threads {1,2,8} --------------
-
-/// Asserts counter identity between two engine runs. With `exact` every
-/// field must match — valid only for runs whose scheduling is
-/// deterministic (threads=1). Under real parallelism the comparison drops
-/// the fingerprint-set-sensitive fields: when two equivalent-but-distinct
-/// candidates intern concurrently, whichever wins the race becomes the
-/// class representative, and every later expansion is substituted from
-/// that representative — so the *set* of template fingerprints flowing
-/// through the reduce/key caches (and with it their run/entry counts,
-/// intern fast-path hits, and confirm scans) can shift by ±1 collision
-/// accidents between any two parallel runs, including two runs of the
-/// same kernel. Request totals are per-call and the remaining caches key
-/// on interned class ids, which relabel bijectively when representatives
-/// swap, so those counters are scheduling-invariant and stay compared.
-void ExpectSameStats(const EngineStats& soa, const EngineStats& legacy_stats,
-                     bool exact) {
-  const auto same = [exact](const CacheCounters& a, const CacheCounters& b,
-                            bool fingerprint_keyed, const char* which) {
-    EXPECT_EQ(a.requests, b.requests) << which;
-    if (exact || !fingerprint_keyed) {
-      EXPECT_EQ(a.runs, b.runs) << which;
-      EXPECT_EQ(a.entries, b.entries) << which;
-      EXPECT_EQ(a.evictions, b.evictions) << which;
-    }
-  };
-  same(soa.reduce, legacy_stats.reduce, /*fingerprint_keyed=*/true, "reduce");
-  same(soa.canonical_key, legacy_stats.canonical_key,
-       /*fingerprint_keyed=*/true, "canonical_key");
-  same(soa.homomorphism, legacy_stats.homomorphism,
-       /*fingerprint_keyed=*/false, "homomorphism");
-  same(soa.row_embedding, legacy_stats.row_embedding,
-       /*fingerprint_keyed=*/false, "row_embedding");
-  same(soa.expansion, legacy_stats.expansion, /*fingerprint_keyed=*/false,
-       "expansion");
-  same(soa.verdict, legacy_stats.verdict, /*fingerprint_keyed=*/false,
-       "verdict");
-  same(soa.dominance, legacy_stats.dominance, /*fingerprint_keyed=*/false,
-       "dominance");
-  EXPECT_EQ(soa.intern_requests, legacy_stats.intern_requests);
-  EXPECT_EQ(soa.interned_classes, legacy_stats.interned_classes);
-  if (exact) {
-    EXPECT_EQ(soa.intern_hits, legacy_stats.intern_hits);
-    EXPECT_EQ(soa.equivalence_confirms, legacy_stats.equivalence_confirms);
-  }
-}
+// --- Engine level: answers vs the legacy oracle, threads {1,2,8} -------
 
 class EngineDifferentialTest : public ::testing::Test {
  protected:
@@ -485,22 +407,13 @@ class EngineDifferentialTest : public ::testing::Test {
         "W"));
   }
 
-  static EngineOptions KernelOptions(
-      bool use_soa, SimdBackend backend = DefaultSimdBackend()) {
-    EngineOptions options;
-    options.use_soa_kernel = use_soa;
-    options.simd = backend;
-    return options;
-  }
-
   /// Runs the full mixed workload — membership (enumeration + canonical
   /// paths, repeated for warmth), view equivalence, redundancy
-  /// elimination — on one engine and returns (stats, observable outcome
-  /// rendering).
-  std::pair<EngineStats, std::string> RunWorkload(
-      bool use_soa, std::size_t threads,
-      SimdBackend backend = DefaultSimdBackend()) {
-    Engine engine(&catalog_, KernelOptions(use_soa, backend));
+  /// elimination — on `engine` and returns the observable outcome
+  /// rendering. Appends every query and view definition the workload
+  /// submits to `*templates`.
+  std::string RunWorkload(Engine& engine, std::size_t threads,
+                          std::vector<Tableau>* templates) {
     SearchLimits limits;
     limits.threads = threads;
     std::string log;
@@ -508,8 +421,11 @@ class EngineDifferentialTest : public ::testing::Test {
       CapacityOracle oracle(&engine, *view_, limits);
       for (const char* query :
            {"pi{A}(r) * pi{C}(r)", "r", "pi{A,B}(r) * pi{B,C}(r)"}) {
-        MembershipResult m =
-            Unwrap(oracle.Contains(MustParse(catalog_, query)));
+        const ExprPtr expr = MustParse(catalog_, query);
+        if (repeat == 0) {
+          templates->push_back(MustBuildTableau(catalog_, u_, *expr));
+        }
+        MembershipResult m = Unwrap(oracle.Contains(expr));
         log += StrCat(query, "=>", m.member ? 1 : 0, ",",
                       m.candidates_tried, ",",
                       m.witness == nullptr
@@ -521,13 +437,18 @@ class EngineDifferentialTest : public ::testing::Test {
     View v = Unwrap(View::Create(
         &catalog_, base_,
         {{l_, MustParse(catalog_, "pi{A,B}(r) * pi{B,C}(r)")}}, "V"));
+    for (const View* view : {&v, &*view_}) {
+      for (const ViewDefinition& d : view->definitions()) {
+        templates->push_back(d.tableau);
+      }
+    }
     EquivalenceResult eq = Unwrap(AreEquivalent(engine, v, *view_, limits));
     log += StrCat("eq=>", eq.equivalent ? 1 : 0, ";");
     NonredundantViewResult nr =
         Unwrap(MakeNonredundant(engine, *view_, limits));
     log += StrCat("kept=>");
     for (std::size_t k : nr.kept) log += StrCat(k, ",");
-    return {engine.Stats(), log};
+    return log;
   }
 
   Catalog catalog_;
@@ -538,72 +459,57 @@ class EngineDifferentialTest : public ::testing::Test {
   std::optional<View> view_;
 };
 
-TEST_F(EngineDifferentialTest, SoaAndLegacyEnginesAgreeForEveryThreadCount) {
-  std::optional<std::pair<EngineStats, std::string>> reference;
+TEST_F(EngineDifferentialTest, EngineMatchesLegacyOracleAtEveryThreadCount) {
+  std::optional<std::string> reference;
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     SCOPED_TRACE(StrCat("threads=", threads));
-    auto soa = RunWorkload(/*use_soa=*/true, threads);
-    auto legacy_run = RunWorkload(/*use_soa=*/false, threads);
-    // Same thread count, different kernels: identical outcomes AND
-    // identical engine counters (the kernels sit below every counter).
-    // At threads=1 the whole run is deterministic, so every field must
-    // match bit for bit; parallel runs compare the scheduling-invariant
-    // subset (see ExpectSameStats).
-    EXPECT_EQ(soa.second, legacy_run.second);
-    {
-      SCOPED_TRACE("soa-vs-legacy");
-      ExpectSameStats(soa.first, legacy_run.first, /*exact=*/threads == 1);
-    }
-    // And the SoA *outcomes* are thread-count invariant. (Cache request
-    // counters are not compared across thread counts: concurrent level
-    // scans evaluate a timing-dependent number of items past the stop
-    // index speculatively, so raw cache traffic may differ even though
-    // every observed verdict, witness and candidates_tried is identical.)
-    if (!reference.has_value()) {
-      reference = soa;
-    } else {
-      EXPECT_EQ(soa.second, reference->second);
-    }
-  }
-}
+    Engine engine(&catalog_);
+    std::vector<Tableau> templates;
+    const std::string log = RunWorkload(engine, threads, &templates);
 
-TEST_F(EngineDifferentialTest, SimdBackendsAgreeForEveryThreadCount) {
-  // Engine-level backend invariance: the full mixed workload must produce
-  // identical outcomes and scheduling-invariant counters on every
-  // runnable SIMD backend, at every thread count. At threads=1 the
-  // filter counters themselves must match bit for bit across backends
-  // (same searches, same candidate lists — only the lanes differ).
-  const std::vector<SimdBackend> backends = AvailableSimdBackends();
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    std::optional<std::pair<EngineStats, std::string>> scalar_run;
-    for (const SimdBackend backend : backends) {
-      SCOPED_TRACE(StrCat("threads=", threads, " backend=",
-                          SimdBackendName(backend)));
-      auto run = RunWorkload(/*use_soa=*/true, threads, backend);
-      // The engine accumulates filter work in exactly its resolved
-      // backend's stats slot.
-      const std::size_t slot = SimdBackendIndex(backend);
-      EXPECT_GT(run.first.filter[slot].invocations, 0u);
-      EXPECT_GE(run.first.filter[slot].rows, run.first.filter[slot].survivors);
-      for (std::size_t b = 0; b < kNumSimdBackends; ++b) {
-        if (b != slot) EXPECT_EQ(run.first.filter[b].invocations, 0u) << b;
+    // Interning is exact on what the workload submitted: two templates
+    // share an id exactly when the reference search finds them
+    // equivalent.
+    std::vector<TableauId> ids;
+    for (const Tableau& t : templates) ids.push_back(engine.Intern(t));
+    for (std::size_t i = 0; i < templates.size(); ++i) {
+      for (std::size_t j = i + 1; j < templates.size(); ++j) {
+        EXPECT_EQ(ids[i] == ids[j],
+                  legacy::EquivalentTableaux(catalog_, templates[i],
+                                             templates[j]))
+            << i << "," << j;
       }
-      if (!scalar_run.has_value()) {
-        scalar_run = run;
-        continue;
+    }
+
+    // Every class the workload interned, including its levels and
+    // expansions: distinct classes are inequivalent, and the engine's
+    // row-embedding answer is the reference search's on the two
+    // representatives.
+    const TableauId classes = engine.StatsSnapshot().interned_classes;
+    ASSERT_GT(classes, templates.size());
+    for (TableauId a = 0; a < classes; ++a) {
+      for (TableauId b = 0; b < classes; ++b) {
+        const Tableau& rep_a = engine.Representative(a);
+        const Tableau& rep_b = engine.Representative(b);
+        EXPECT_EQ(engine.RowEmbeds(a, b),
+                  legacy::HasRowEmbedding(catalog_, rep_a, rep_b))
+            << a << "," << b;
+        if (a < b) {
+          EXPECT_FALSE(legacy::EquivalentTableaux(catalog_, rep_a, rep_b))
+              << a << "," << b;
+        }
       }
-      EXPECT_EQ(run.second, scalar_run->second);
-      ExpectSameStats(run.first, scalar_run->first, /*exact=*/threads == 1);
-      if (threads == 1) {
-        const std::size_t scalar_slot = SimdBackendIndex(backends.front());
-        EXPECT_EQ(run.first.filter[slot].invocations,
-                  scalar_run->first.filter[scalar_slot].invocations);
-        EXPECT_EQ(run.first.filter[slot].rows,
-                  scalar_run->first.filter[scalar_slot].rows);
-        EXPECT_EQ(run.first.filter[slot].survivors,
-                  scalar_run->first.filter[scalar_slot].survivors);
-      }
+    }
+
+    // The outcomes are thread-count invariant. (Cache request counters
+    // are not compared across thread counts: concurrent level scans
+    // evaluate a timing-dependent number of items past the stop index
+    // speculatively, so raw cache traffic may differ even though every
+    // observed verdict, witness and candidates_tried is identical.)
+    if (!reference.has_value()) {
+      reference = log;
+    } else {
+      EXPECT_EQ(log, *reference);
     }
   }
 }
@@ -618,14 +524,14 @@ TEST_F(EngineDifferentialTest, RowEmbedsBatchMatchesScalarAndCounters) {
   }
   const TableauId target = ids.back();
   const std::vector<char> batch = engine.RowEmbedsBatch(ids, target);
-  const EngineStats after_batch = engine.Stats();
+  const EngineStats after_batch = engine.StatsSnapshot();
   ASSERT_EQ(batch.size(), ids.size());
   // Scalar replay: verdicts identical, and every probe now hits the cache
   // (same keys), so runs stay flat while requests double.
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(batch[i] != 0, engine.RowEmbeds(ids[i], target)) << i;
   }
-  const EngineStats after_scalar = engine.Stats();
+  const EngineStats after_scalar = engine.StatsSnapshot();
   EXPECT_EQ(after_batch.row_embedding.requests, ids.size());
   EXPECT_EQ(after_scalar.row_embedding.requests, 2 * ids.size());
   EXPECT_EQ(after_scalar.row_embedding.runs, after_batch.row_embedding.runs);

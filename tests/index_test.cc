@@ -155,9 +155,9 @@ TEST(IndexRoundTripTest, MembershipBitIdenticalToLiveEngine) {
   for (const auto& [view, query] : cases) {
     std::string live_report, indexed_report;
     MembershipResult a =
-        Unwrap(live.CheckAnswerable(view, query, &live_report));
+        Unwrap(live.CheckAnswerable(view, query, {}, &live_report));
     MembershipResult b =
-        Unwrap(indexed.CheckAnswerable(view, query, &indexed_report));
+        Unwrap(indexed.CheckAnswerable(view, query, {}, &indexed_report));
     EXPECT_EQ(a.member, b.member) << view << " / " << query;
     EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << query;
     EXPECT_EQ(a.candidates_tried, b.candidates_tried) << query;
@@ -184,9 +184,10 @@ TEST(IndexRoundTripTest, EquivalenceBitIdenticalToLiveEngine) {
 
   std::string live_report, indexed_report;
   EquivalenceResult a =
-      Unwrap(live.CheckEquivalence("Public", "Banded", &live_report));
+      Unwrap(live.CheckEquivalence("Public", "Banded", {}, &live_report));
   EquivalenceResult b =
-      Unwrap(indexed.CheckEquivalence("Public", "Banded", &indexed_report));
+      Unwrap(indexed.CheckEquivalence("Public", "Banded", {},
+                                      &indexed_report));
   EXPECT_EQ(a.equivalent, b.equivalent);
   EXPECT_EQ(a.inconclusive, b.inconclusive);
   EXPECT_EQ(live_report, indexed_report);

@@ -132,7 +132,8 @@ TEST_F(JkCrosscheckTest, BothProceduresAgreeOnMembership) {
       {"r", false},                   // The lost A-B correlation.
       {"pi{A}(pi{A}(r) * pi{B}(r))", true},
   };
-  CapacityOracle oracle(&catalog_, *set_);
+  Engine engine(&catalog_);
+  CapacityOracle oracle(&engine, *set_);
   for (const Case& c : cases) {
     Tableau query =
         MustBuildTableau(catalog_, u_, *MustParse(catalog_, c.query));

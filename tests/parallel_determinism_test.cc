@@ -38,11 +38,25 @@ class ParallelDeterminismTest : public ::testing::Test {
         "W"));
   }
 
-  /// One fresh-engine membership run (a shared engine would let the
-  /// verdict cache short-circuit later thread counts).
+  // Every run gets a fresh engine: the verdict and dominance cache keys
+  // omit the thread count, so a shared engine would answer later thread
+  // counts from the first run's cache entries.
+
   MembershipResult Membership(const std::string& query, SearchLimits limits) {
-    CapacityOracle oracle(*view_, limits);
+    Engine engine(&catalog_);
+    CapacityOracle oracle(&engine, *view_, limits);
     return Unwrap(oracle.Contains(MustParse(catalog_, query)));
+  }
+
+  EquivalenceResult Equivalence(const View& v, const View& w,
+                                SearchLimits limits) {
+    Engine engine(&catalog_);
+    return Unwrap(AreEquivalent(engine, v, w, limits));
+  }
+
+  NonredundantViewResult Nonredundant(const View& view, SearchLimits limits) {
+    Engine engine(&catalog_);
+    return Unwrap(MakeNonredundant(engine, view, limits));
   }
 
   static std::string WitnessString(const Catalog& catalog,
@@ -123,11 +137,11 @@ TEST_F(ParallelDeterminismTest, EquivalenceVerdictIsIdentical) {
       {{l, MustParse(catalog_, "pi{A,B}(r) * pi{B,C}(r)")}}, "V"));
   SearchLimits limits;
   limits.threads = 1;
-  EquivalenceResult reference = Unwrap(AreEquivalent(v, *view_, limits));
+  EquivalenceResult reference = Equivalence(v, *view_, limits);
   ASSERT_TRUE(reference.equivalent);
   for (std::size_t threads : kThreadCounts) {
     limits.threads = threads;
-    EquivalenceResult eq = Unwrap(AreEquivalent(v, *view_, limits));
+    EquivalenceResult eq = Equivalence(v, *view_, limits);
     EXPECT_EQ(eq.equivalent, reference.equivalent) << threads;
     EXPECT_EQ(eq.inconclusive, reference.inconclusive) << threads;
     EXPECT_EQ(eq.v_over_w.dominates, reference.v_over_w.dominates)
@@ -153,11 +167,11 @@ TEST_F(ParallelDeterminismTest, InequivalenceVerdictIsIdentical) {
       &catalog_, base_, {{full, MustParse(catalog_, "r")}}, "Big"));
   SearchLimits limits;
   limits.threads = 1;
-  EquivalenceResult reference = Unwrap(AreEquivalent(big, *view_, limits));
+  EquivalenceResult reference = Equivalence(big, *view_, limits);
   ASSERT_FALSE(reference.equivalent);
   for (std::size_t threads : kThreadCounts) {
     limits.threads = threads;
-    EquivalenceResult eq = Unwrap(AreEquivalent(big, *view_, limits));
+    EquivalenceResult eq = Equivalence(big, *view_, limits);
     EXPECT_EQ(eq.equivalent, reference.equivalent) << threads;
     EXPECT_EQ(eq.v_over_w.dominates, reference.v_over_w.dominates)
         << threads;
@@ -183,11 +197,11 @@ TEST_F(ParallelDeterminismTest, RedundancyVictimIsIdentical) {
       "X"));
   SearchLimits limits;
   limits.threads = 1;
-  NonredundantViewResult reference = Unwrap(MakeNonredundant(x, limits));
+  NonredundantViewResult reference = Nonredundant(x, limits);
   ASSERT_LT(reference.kept.size(), x.size());
   for (std::size_t threads : kThreadCounts) {
     limits.threads = threads;
-    NonredundantViewResult result = Unwrap(MakeNonredundant(x, limits));
+    NonredundantViewResult result = Nonredundant(x, limits);
     EXPECT_EQ(result.kept, reference.kept) << threads;
     EXPECT_EQ(result.inconclusive, reference.inconclusive) << threads;
   }
@@ -199,8 +213,8 @@ TEST_F(ParallelDeterminismTest, NonredundantSetVerdictIsIdentical) {
     SearchLimits limits;
     limits.threads = threads;
     bool inconclusive = true;
-    EXPECT_TRUE(
-        Unwrap(IsNonredundantSet(&catalog_, set, limits, &inconclusive)))
+    Engine engine(&catalog_);
+    EXPECT_TRUE(Unwrap(IsNonredundantSet(engine, set, limits, &inconclusive)))
         << threads;
     EXPECT_FALSE(inconclusive) << threads;
   }

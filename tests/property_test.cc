@@ -24,6 +24,7 @@
 namespace viewcap {
 namespace {
 
+using testing::EngineFactory;
 using testing::Unwrap;
 
 // Generates random PJ expressions over a set of relation names.
@@ -74,6 +75,7 @@ class PropertyTest : public ::testing::TestWithParam<std::uint64_t> {
   }
 
   Catalog catalog_;
+  EngineFactory engines_{&catalog_};
   AttrSet u_;
   RelId r_ = kInvalidRel, s_ = kInvalidRel, t_ = kInvalidRel;
   DbSchema base_;
@@ -215,7 +217,7 @@ TEST_P(PropertyTest, CapacityContainsAllViewQuerySurrogates) {
                                               Expr::Rel(catalog_, s_)))},
        {v2, Expr::Rel(catalog_, s_)}},
       "PV"));
-  CapacityOracle oracle(view);
+  CapacityOracle oracle(&engines_.New(), view);
   ExprGenerator view_gen(&catalog_, {v1, v2});
   for (int i = 0; i < 5; ++i) {
     ExprPtr view_query = view_gen.Generate(rng, 3);
@@ -247,18 +249,23 @@ TEST_P(PropertyTest, NormalizationPipelinePreservesCapacity) {
     defs.push_back({handle, e});
   }
   View view = Unwrap(View::Create(&catalog_, base_, defs, "NV"));
-  NonredundantViewResult nr = Unwrap(MakeNonredundant(view));
-  EXPECT_TRUE(Unwrap(AreEquivalent(view, nr.view)).equivalent);
+  NonredundantViewResult nr = Unwrap(MakeNonredundant(engines_.New(), view));
+  EXPECT_TRUE(Unwrap(AreEquivalent(engines_.New(), view, nr.view)).equivalent);
 
-  SimplifyOutcome simplified = Unwrap(Simplify(&catalog_, view));
-  EXPECT_TRUE(Unwrap(AreEquivalent(view, simplified.view)).equivalent);
-  EXPECT_TRUE(Unwrap(IsSimplifiedView(&catalog_, simplified.view)));
+  SimplifyOutcome simplified =
+      Unwrap(Simplify(engines_.New(), &catalog_, view));
+  EXPECT_TRUE(
+      Unwrap(AreEquivalent(engines_.New(), view, simplified.view)).equivalent);
+  EXPECT_TRUE(Unwrap(
+      IsSimplifiedView(engines_.New(), &catalog_, simplified.view)));
 
   // Theorem 4.2.2: simplifying the nonredundant form gives the same normal
   // form up to renaming.
-  SimplifyOutcome simplified2 = Unwrap(Simplify(&catalog_, nr.view));
-  EXPECT_TRUE(
-      Unwrap(SameQueriesUpToRenaming(simplified.view, simplified2.view)));
+  SimplifyOutcome simplified2 =
+      Unwrap(Simplify(engines_.New(), &catalog_, nr.view));
+  EXPECT_TRUE(Unwrap(
+      SameQueriesUpToRenaming(engines_.New(), simplified.view,
+                              simplified2.view)));
   // Theorem 4.2.3: the simplified view is at least as large as any
   // nonredundant equivalent we hold.
   EXPECT_GE(simplified.view.size(), nr.view.size());

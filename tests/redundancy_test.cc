@@ -9,6 +9,7 @@
 namespace viewcap {
 namespace {
 
+using testing::EngineFactory;
 using testing::MustParse;
 using testing::Unwrap;
 
@@ -32,6 +33,7 @@ class Example311Test : public ::testing::Test {
   }
 
   Catalog catalog_;
+  EngineFactory engines_{&catalog_};
   AttrSet u_;
   RelId r_ = kInvalidRel;
   DbSchema base_;
@@ -40,7 +42,7 @@ class Example311Test : public ::testing::Test {
 
 TEST_F(Example311Test, JoinIsRedundant) {
   QuerySet set = QuerySet::FromView(*view_);
-  RedundancyResult s_result = Unwrap(IsRedundant(&catalog_, set, 0));
+  RedundancyResult s_result = Unwrap(IsRedundant(engines_.New(), set, 0));
   EXPECT_TRUE(s_result.redundant);
   ASSERT_NE(s_result.membership.witness, nullptr);
   EXPECT_EQ(s_result.membership.witness->LeafCount(), 2u);  // h_s1 * h_s2.
@@ -48,14 +50,14 @@ TEST_F(Example311Test, JoinIsRedundant) {
   // The projections are ALSO redundant in the full set (S1 = pi_AB(S),
   // S2 = pi_BC(S)): Example 3.1.1 claims only that {S1, S2} taken alone is
   // nonredundant, which SubsetIsNonredundant checks.
-  EXPECT_TRUE(Unwrap(IsRedundant(&catalog_, set, 1)).redundant);
-  EXPECT_TRUE(Unwrap(IsRedundant(&catalog_, set, 2)).redundant);
+  EXPECT_TRUE(Unwrap(IsRedundant(engines_.New(), set, 1)).redundant);
+  EXPECT_TRUE(Unwrap(IsRedundant(engines_.New(), set, 2)).redundant);
 }
 
 TEST_F(Example311Test, SubsetIsNonredundant) {
   // {S1, S2} is a nonredundant query set (Proposition 3.1.3 instance).
   QuerySet set = QuerySet::FromView(*view_).Without(0);
-  EXPECT_TRUE(Unwrap(IsNonredundantSet(&catalog_, set)));
+  EXPECT_TRUE(Unwrap(IsNonredundantSet(engines_.New(), set)));
 }
 
 TEST_F(Example311Test, MakeNonredundantReachesAFixpoint) {
@@ -63,24 +65,26 @@ TEST_F(Example311Test, MakeNonredundantReachesAFixpoint) {
   // surviving {S1, S2} is nonredundant. (Dropping a projection first would
   // eventually leave {S} — also a valid nonredundant equivalent; the two
   // outcomes are exactly the views of Example 3.1.5.)
-  NonredundantViewResult result = Unwrap(MakeNonredundant(*view_));
+  NonredundantViewResult result =
+      Unwrap(MakeNonredundant(engines_.New(), *view_));
   EXPECT_FALSE(result.inconclusive);
   EXPECT_EQ(result.view.size(), 2u);
   // Theorem 3.1.4: the result is equivalent to the input.
-  EXPECT_TRUE(Unwrap(AreEquivalent(*view_, result.view)).equivalent);
+  EXPECT_TRUE(
+      Unwrap(AreEquivalent(engines_.New(), *view_, result.view)).equivalent);
   // And itself nonredundant.
   EXPECT_TRUE(Unwrap(
-      IsNonredundantSet(&catalog_, QuerySet::FromView(result.view))));
+      IsNonredundantSet(engines_.New(), QuerySet::FromView(result.view))));
 }
 
 TEST_F(Example311Test, SingletonIsNeverRedundant) {
   QuerySet set = QuerySet::FromView(view_->Restrict({0}));
-  EXPECT_FALSE(Unwrap(IsRedundant(&catalog_, set, 0)).redundant);
+  EXPECT_FALSE(Unwrap(IsRedundant(engines_.New(), set, 0)).redundant);
 }
 
 TEST_F(Example311Test, IndexOutOfRangeIsInvalidArgument) {
   QuerySet set = QuerySet::FromView(*view_);
-  EXPECT_EQ(IsRedundant(&catalog_, set, 99).status().code(),
+  EXPECT_EQ(IsRedundant(engines_.New(), set, 99).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -92,9 +96,10 @@ TEST_F(Example311Test, DuplicateDefinitionsCollapse) {
       {{d1, MustParse(catalog_, "pi{A,B}(r)")},
        {d2, MustParse(catalog_, "pi{A,B}(pi{A,B}(r))")}},  // Same mapping.
       "Dup"));
-  NonredundantViewResult result = Unwrap(MakeNonredundant(dup));
+  NonredundantViewResult result = Unwrap(MakeNonredundant(engines_.New(), dup));
   EXPECT_EQ(result.view.size(), 1u);
-  EXPECT_TRUE(Unwrap(AreEquivalent(dup, result.view)).equivalent);
+  EXPECT_TRUE(
+      Unwrap(AreEquivalent(engines_.New(), dup, result.view)).equivalent);
 }
 
 TEST_F(Example311Test, SizeBoundDominatesNonredundantEquivalents) {
@@ -102,7 +107,7 @@ TEST_F(Example311Test, SizeBoundDominatesNonredundantEquivalents) {
   // the input has at most NonredundantSizeBound members. Check against the
   // two known nonredundant equivalents of Example 3.1.5.
   QuerySet set = QuerySet::FromView(*view_);
-  std::size_t bound = NonredundantSizeBound(catalog_, set);
+  std::size_t bound = NonredundantSizeBound(engines_.New(), set);
   EXPECT_GE(bound, 2u);  // {S1, S2} is a nonredundant equivalent.
   // The singleton view {S} is nonredundant and equivalent too.
   EXPECT_GE(bound, 1u);
@@ -123,9 +128,11 @@ TEST(RedundancyTest, AllThreeProjectionsIndependent) {
                                    {h2, MustParse(catalog, "pi{B,C}(r)")},
                                    {h3, MustParse(catalog, "pi{A,C}(r)")}},
                                   "P3"));
+  EngineFactory engines(&catalog);
   EXPECT_TRUE(
-      Unwrap(IsNonredundantSet(&catalog, QuerySet::FromView(view))));
-  NonredundantViewResult result = Unwrap(MakeNonredundant(view));
+      Unwrap(IsNonredundantSet(engines.New(), QuerySet::FromView(view))));
+  NonredundantViewResult result =
+      Unwrap(MakeNonredundant(engines.New(), view));
   EXPECT_EQ(result.view.size(), 3u);
 }
 

@@ -1,7 +1,6 @@
 // Tests for core/report.h: the markdown audit generator.
 #include <gtest/gtest.h>
 
-#include "base/simd.h"
 #include "base/strings.h"
 #include "core/report.h"
 #include "tests/test_util.h"
@@ -99,21 +98,23 @@ TEST(RenderEngineStatsTest, FreshEngineRendersNoBogusRates) {
 
 TEST(RenderEngineStatsTest, FilterTableShowsOnlyBackendsThatRan) {
   EngineStats stats;
-  const std::size_t slot = SimdBackendIndex(SimdBackend::kScalar);
-  stats.filter[slot].invocations = 4;
-  stats.filter[slot].rows = 10;
-  stats.filter[slot].survivors = 5;
+  stats.filter.invocations = 4;
+  stats.filter.rows = 10;
+  stats.filter.survivors = 5;
   const std::string out = RenderEngineStats(stats);
-  EXPECT_NE(out.find("| scalar | 4 | 10 | 5 | 50.0% |"), std::string::npos)
-      << out;
-  EXPECT_EQ(out.find("| simd128 |"), std::string::npos) << out;
-  EXPECT_EQ(out.find("| simd256 |"), std::string::npos) << out;
+  // The filter has one implementation, so the table has one row.
+  const std::size_t table = out.find("### Candidate filter");
+  ASSERT_NE(table, std::string::npos) << out;
+  EXPECT_EQ(out.substr(table),
+            "### Candidate filter\n\n"
+            "| backend | invocations | rows | survivors | survivor rate |\n"
+            "|---|---|---|---|---|\n"
+            "| scalar | 4 | 10 | 5 | 50.0% |\n");
 }
 
 TEST(RenderEngineStatsTest, LiveEngineReportsFilterActivity) {
   // Any real workload runs the candidate filter (Reduce probes at
-  // minimum), so the resolved backend's row must appear with a live
-  // survivor rate.
+  // minimum), so its row must appear with a live survivor rate.
   Analyzer analyzer;
   VIEWCAP_ASSERT_OK(analyzer.Load(R"(
     schema { r(A, B, C); }
@@ -122,14 +123,11 @@ TEST(RenderEngineStatsTest, LiveEngineReportsFilterActivity) {
   ReportOptions options;
   options.include_engine_stats = true;
   const std::string report = Unwrap(RenderReport(analyzer, options));
-  const EngineStats stats = analyzer.engine_stats();
-  const SimdBackend backend = ResolveSimdBackend(DefaultSimdBackend());
-  const FilterBackendCounters& f = stats.filter[SimdBackendIndex(backend)];
+  const FilterCounters f = analyzer.engine_stats().filter;
   EXPECT_GT(f.invocations, 0u);
   EXPECT_GE(f.rows, f.survivors);
-  const std::string row =
-      StrCat("| ", SimdBackendName(backend), " | ", f.invocations, " | ",
-             f.rows, " | ", f.survivors, " | ");
+  const std::string row = StrCat("| scalar | ", f.invocations, " | ", f.rows,
+                                 " | ", f.survivors, " | ");
   EXPECT_NE(report.find(row), std::string::npos) << report;
 }
 

@@ -15,6 +15,7 @@
 namespace viewcap {
 namespace {
 
+using testing::EngineFactory;
 using testing::MustParse;
 using testing::Unwrap;
 
@@ -45,6 +46,7 @@ class Section41Test : public ::testing::Test {
   }
 
   Catalog catalog_;
+  EngineFactory engines_{&catalog_};
   AttrSet u_;
   RelId e_ = kInvalidRel, f_ = kInvalidRel, g_ = kInvalidRel;
   DbSchema base_;
@@ -74,15 +76,15 @@ TEST_F(Section41Test, TRebuildsFromProjectionInPresenceOfS) {
 
 TEST_F(Section41Test, ViewIsNonredundantYetNotSimplified) {
   QuerySet set = QuerySet::FromView(*view_);
-  EXPECT_TRUE(Unwrap(IsNonredundantSet(&catalog_, set)));
+  EXPECT_TRUE(Unwrap(IsNonredundantSet(engines_.New(), set)));
   // Neither defining query is simple.
-  EXPECT_FALSE(Unwrap(IsSimple(&catalog_, set, 0)).simple);
-  EXPECT_FALSE(Unwrap(IsSimple(&catalog_, set, 1)).simple);
-  EXPECT_FALSE(Unwrap(IsSimplifiedView(&catalog_, *view_)));
+  EXPECT_FALSE(Unwrap(IsSimple(engines_.New(), &catalog_, set, 0)).simple);
+  EXPECT_FALSE(Unwrap(IsSimple(engines_.New(), &catalog_, set, 1)).simple);
+  EXPECT_FALSE(Unwrap(IsSimplifiedView(engines_.New(), &catalog_, *view_)));
 }
 
 TEST_F(Section41Test, SimplifyProducesTheNormalForm) {
-  SimplifyOutcome outcome = Unwrap(Simplify(&catalog_, *view_));
+  SimplifyOutcome outcome = Unwrap(Simplify(engines_.New(), &catalog_, *view_));
   EXPECT_FALSE(outcome.inconclusive);
   // The normal form: { pi_AB(S), pi_BC(S), pi_A(T) }.
   ASSERT_EQ(outcome.view.size(), 3u);
@@ -99,16 +101,18 @@ TEST_F(Section41Test, SimplifyProducesTheNormalForm) {
     EXPECT_TRUE(found);
   }
   // Theorem 4.1.3: equivalent to the input; Theorem 4.1.1: nonredundant.
-  EXPECT_TRUE(Unwrap(AreEquivalent(*view_, outcome.view)).equivalent);
-  EXPECT_TRUE(Unwrap(IsSimplifiedView(&catalog_, outcome.view)));
+  EXPECT_TRUE(
+      Unwrap(AreEquivalent(engines_.New(), *view_, outcome.view)).equivalent);
+  EXPECT_TRUE(
+      Unwrap(IsSimplifiedView(engines_.New(), &catalog_, outcome.view)));
   EXPECT_TRUE(Unwrap(
-      IsNonredundantSet(&catalog_, QuerySet::FromView(outcome.view))));
+      IsNonredundantSet(engines_.New(), QuerySet::FromView(outcome.view))));
 }
 
 TEST_F(Section41Test, SimplifiedDefiningQueriesAreProjectionsOfInputs) {
   // Theorem 4.2.1: every defining query of a simplified equivalent is a
   // projection of some defining query of the input.
-  SimplifyOutcome outcome = Unwrap(Simplify(&catalog_, *view_));
+  SimplifyOutcome outcome = Unwrap(Simplify(engines_.New(), &catalog_, *view_));
   SymbolPool pool;
   for (const ViewDefinition& d : outcome.view.definitions()) {
     bool is_projection_of_input = false;
@@ -134,8 +138,8 @@ TEST_F(Section41Test, MaximalityOfSimplifiedViews) {
   // Theorem 4.2.3: no nonredundant equivalent view is larger than the
   // simplified one. Cross-check against the input itself (2 < 3) and the
   // bound machinery.
-  SimplifyOutcome outcome = Unwrap(Simplify(&catalog_, *view_));
-  NonredundantViewResult nr = Unwrap(MakeNonredundant(*view_));
+  SimplifyOutcome outcome = Unwrap(Simplify(engines_.New(), &catalog_, *view_));
+  NonredundantViewResult nr = Unwrap(MakeNonredundant(engines_.New(), *view_));
   EXPECT_LE(nr.view.size(), outcome.view.size());
 }
 
@@ -161,6 +165,7 @@ class Example315SimplifyTest : public ::testing::Test {
   }
 
   Catalog catalog_;
+  EngineFactory engines_{&catalog_};
   AttrSet u_;
   RelId r_ = kInvalidRel;
   DbSchema base_;
@@ -168,48 +173,55 @@ class Example315SimplifyTest : public ::testing::Test {
 };
 
 TEST_F(Example315SimplifyTest, WIsSimplifiedVIsNot) {
-  EXPECT_TRUE(Unwrap(IsSimplifiedView(&catalog_, *w_)));
-  EXPECT_FALSE(Unwrap(IsSimplifiedView(&catalog_, *v_)));
+  EXPECT_TRUE(Unwrap(IsSimplifiedView(engines_.New(), &catalog_, *w_)));
+  EXPECT_FALSE(Unwrap(IsSimplifiedView(engines_.New(), &catalog_, *v_)));
 }
 
 TEST_F(Example315SimplifyTest, SimplifyVYieldsWUpToRenaming) {
-  SimplifyOutcome outcome = Unwrap(Simplify(&catalog_, *v_));
+  SimplifyOutcome outcome = Unwrap(Simplify(engines_.New(), &catalog_, *v_));
   EXPECT_EQ(outcome.view.size(), 2u);
-  EXPECT_TRUE(Unwrap(SameQueriesUpToRenaming(outcome.view, *w_)));
-  EXPECT_TRUE(Unwrap(AreEquivalent(outcome.view, *v_)).equivalent);
+  EXPECT_TRUE(
+      Unwrap(SameQueriesUpToRenaming(engines_.New(), outcome.view, *w_)));
+  EXPECT_TRUE(
+      Unwrap(AreEquivalent(engines_.New(), outcome.view, *v_)).equivalent);
 }
 
 TEST_F(Example315SimplifyTest, SimplifyIsIdempotentUpToRenaming) {
-  SimplifyOutcome once = Unwrap(Simplify(&catalog_, *v_));
-  SimplifyOutcome twice = Unwrap(Simplify(&catalog_, once.view));
-  EXPECT_TRUE(Unwrap(SameQueriesUpToRenaming(once.view, twice.view)));
+  SimplifyOutcome once = Unwrap(Simplify(engines_.New(), &catalog_, *v_));
+  SimplifyOutcome twice =
+      Unwrap(Simplify(engines_.New(), &catalog_, once.view));
+  EXPECT_TRUE(
+      Unwrap(SameQueriesUpToRenaming(engines_.New(), once.view, twice.view)));
 }
 
 TEST_F(Example315SimplifyTest, UniquenessAcrossEquivalentInputs) {
   // Theorem 4.2.2: simplifying two equivalent views gives the same set of
   // defining queries up to renaming.
-  SimplifyOutcome from_v = Unwrap(Simplify(&catalog_, *v_));
-  SimplifyOutcome from_w = Unwrap(Simplify(&catalog_, *w_));
-  EXPECT_TRUE(Unwrap(SameQueriesUpToRenaming(from_v.view, from_w.view)));
+  SimplifyOutcome from_v = Unwrap(Simplify(engines_.New(), &catalog_, *v_));
+  SimplifyOutcome from_w = Unwrap(Simplify(engines_.New(), &catalog_, *w_));
+  EXPECT_TRUE(
+      Unwrap(SameQueriesUpToRenaming(engines_.New(), from_v.view,
+                                     from_w.view)));
 }
 
 TEST_F(Example315SimplifyTest, SimplifiedIsMaximalAmongNonredundant) {
   // Theorem 4.2.3: |V| = 1 <= 2 = |simplified|; and the simplified view
   // attains the maximum size over the nonredundant equivalents we know.
-  SimplifyOutcome outcome = Unwrap(Simplify(&catalog_, *v_));
+  SimplifyOutcome outcome = Unwrap(Simplify(engines_.New(), &catalog_, *v_));
   EXPECT_GE(outcome.view.size(), v_->size());
   EXPECT_GE(outcome.view.size(), w_->size());
 }
 
 TEST_F(Example315SimplifyTest, SameQueriesUpToRenamingNegativeCases) {
-  EXPECT_FALSE(Unwrap(SameQueriesUpToRenaming(*v_, *w_)));  // Sizes differ.
+  // Sizes differ.
+  EXPECT_FALSE(Unwrap(SameQueriesUpToRenaming(engines_.New(), *v_, *w_)));
   RelId l3 = Unwrap(catalog_.AddRelation("l3", catalog_.MakeScheme({"A", "B"})));
   RelId l4 = Unwrap(catalog_.AddRelation("l4", catalog_.MakeScheme({"A", "C"})));
   View other = Unwrap(View::Create(&catalog_, base_,
                                    {{l3, MustParse(catalog_, "pi{A,B}(r)")},
                                     {l4, MustParse(catalog_, "pi{A,C}(r)")}},
                                    "Other"));
-  EXPECT_FALSE(Unwrap(SameQueriesUpToRenaming(other, *w_)));
+  EXPECT_FALSE(Unwrap(SameQueriesUpToRenaming(engines_.New(), other, *w_)));
 }
 
 TEST_F(Example315SimplifyTest, ProperProjectionMembersEnumeratesAll) {
@@ -242,7 +254,7 @@ view VST {
     Analyzer analyzer;
     VIEWCAP_EXPECT_OK(analyzer.Load(kProgram));
     std::string report;
-    Unwrap(analyzer.SimplifyView("VST", &report));
+    Unwrap(analyzer.SimplifyView("VST", {}, &report));
     return report;
   };
   const std::string first = run();
@@ -258,10 +270,11 @@ TEST_F(Example315SimplifyTest, SingleAttributeQueriesAreSimpleIffNonredundant) {
   View tiny = Unwrap(View::Create(
       &catalog_, base_, {{p1, MustParse(catalog_, "pi{A}(r)")}}, "Tiny"));
   QuerySet set = QuerySet::FromView(tiny);
-  EXPECT_TRUE(Unwrap(IsSimple(&catalog_, set, 0)).simple);
-  EXPECT_TRUE(Unwrap(IsSimplifiedView(&catalog_, tiny)));
-  SimplifyOutcome outcome = Unwrap(Simplify(&catalog_, tiny));
-  EXPECT_TRUE(Unwrap(SameQueriesUpToRenaming(outcome.view, tiny)));
+  EXPECT_TRUE(Unwrap(IsSimple(engines_.New(), &catalog_, set, 0)).simple);
+  EXPECT_TRUE(Unwrap(IsSimplifiedView(engines_.New(), &catalog_, tiny)));
+  SimplifyOutcome outcome = Unwrap(Simplify(engines_.New(), &catalog_, tiny));
+  EXPECT_TRUE(
+      Unwrap(SameQueriesUpToRenaming(engines_.New(), outcome.view, tiny)));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,23 @@ inline TaggedTuple Row(const Catalog& catalog, const AttrSet& universe,
 inline ExprPtr MustParse(Catalog& catalog, const std::string& text) {
   return Unwrap(ParseExpr(catalog, text));
 }
+
+/// Hands out a new Engine on every call and keeps each one alive as long as
+/// the factory. A check on another call's result takes its own engine, so
+/// it runs the search again instead of reading back what that call cached.
+class EngineFactory {
+ public:
+  explicit EngineFactory(const Catalog* catalog) : catalog_(catalog) {}
+
+  Engine& New() {
+    engines_.push_back(std::make_unique<Engine>(catalog_));
+    return *engines_.back();
+  }
+
+ private:
+  const Catalog* catalog_;
+  std::vector<std::unique_ptr<Engine>> engines_;
+};
 
 /// A catalog preloaded with one ternary relation r(A, B, C), the workhorse
 /// schema of the paper's Section 3 examples.

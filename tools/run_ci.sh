@@ -44,7 +44,7 @@ cmake --build --preset ci-tsan
 
 # The ci-tsan test preset filters to the suites that exercise the parallel
 # closure search (thread pool, sharded enumeration, engine sharing,
-# capacity/equivalence/redundancy drivers) plus the SoA-vs-legacy
+# capacity/equivalence/redundancy drivers) plus the kernel-vs-legacy
 # homomorphism differential suite (hom_kernel_test), which drives the
 # engine at several thread counts. The asan/ubsan presets run the full
 # suite, so the differential tests run under all three sanitizers.
@@ -59,13 +59,6 @@ cmake --build --preset ci-ubsan
 
 echo "== test (ci-ubsan) =="
 ctest --preset ci-ubsan
-
-# The SIMD-vs-scalar differential suite runs inside the three sanitizer
-# passes above with runtime backend dispatch; run it once more with the
-# SIMD override forced off so the pure-scalar configuration (what
-# -DVIEWCAP_SIMD=off ships) keeps the exact same verdicts and counters.
-echo "== hom kernel differential (VIEWCAP_SIMD=off) =="
-VIEWCAP_SIMD=off "$repo_root/build-asan/tests/hom_kernel_test"
 
 # Persistent capacity index round trip under ASan: build an index over
 # every example catalog, reopen it in a fresh process per command, and

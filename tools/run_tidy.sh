@@ -25,7 +25,7 @@ fi
 # First-party translation units only; third-party and generated code are
 # out of scope for the profile.
 files=$(find "$repo_root/src" "$repo_root/tools" "$repo_root/examples" \
-  -name '*.cc' 2>/dev/null | sort)
+  \( -name '*.cc' -o -name '*.cpp' \) 2>/dev/null | sort)
 
 # --warnings-as-errors promotes every emitted diagnostic to an error so a
 # finding fails the run: clang-tidy otherwise exits 0 on plain warnings.
