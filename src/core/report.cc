@@ -30,8 +30,7 @@ std::string RenderEngineStats(const EngineStats& stats) {
   std::string out = "## Engine statistics\n\n";
   out += StrCat("Interned template classes: ", stats.interned_classes, " (",
                 stats.intern_requests, " requests, ", stats.intern_hits,
-                " hits, ", stats.equivalence_confirms,
-                " equivalence confirms)\n\n");
+                " hits)\n\n");
   out += "| cache | requests | hits | hit rate | runs | entries |"
          " evictions |\n";
   out += "|---|---|---|---|---|---|---|\n";

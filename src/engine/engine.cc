@@ -121,7 +121,7 @@ TableauId Engine::Intern(const Tableau& t) {
   // Fast path: an exact form interned before maps straight to its id —
   // the warm-engine steady state, where the same query templates are
   // re-interned on every request. Skips the reduce / canonical-key /
-  // lowering kernels and the bucket confirms entirely. The request
+  // lowering kernels entirely. The request
   // counters of the skipped kernels are still bumped: a completed prior
   // intern of this exact form left their cache entries warm, so the
   // calls this path replaces would have been pure hits — bumping keeps
@@ -135,13 +135,10 @@ TableauId Engine::Intern(const Tableau& t) {
     return *memo;
   }
   // The expensive kernels run before any interning lock is taken: they are
-  // memoized behind their own stripe locks. The SoA lowering of the
-  // reduced form also happens here, once: on a new class it is published
-  // as the class's cached form, on a hit it backed the confirms.
+  // memoized behind their own stripe locks.
   Tableau reduced = Reduced(t);
   const std::string key = Key(reduced);
-  SoaTemplate reduced_soa = SoaTemplate::Lower(reduced);
-  // The shard lock serializes the whole insert-or-confirm for this key
+  // The shard lock serializes the whole lookup-or-insert for this key
   // (equivalent templates reduce to isomorphic cores, so they share a
   // canonical key and therefore a shard): two threads interning one class
   // concurrently agree on a single id.
@@ -150,58 +147,36 @@ TableauId Engine::Intern(const Tableau& t) {
   // Double-check the fingerprint memo under the shard lock: a racing
   // intern of this exact form publishes its id before releasing the lock
   // (equal forms share a canonical key and therefore a shard), so losing
-  // the race is detected here deterministically instead of re-running
-  // the bucket confirms — keeping the confirm counters independent of
-  // thread interleaving.
+  // the race is detected here deterministically.
   if (std::optional<TableauId> memo = intern_cache_.Get(fingerprint)) {
     Bump(intern_hits_);
     return *memo;
   }
-  std::vector<TableauId>* bucket;
+  TableauId* slot;
   {
     // References to mapped values survive unordered_map rehashes, so the
-    // map lock covers only the find-or-insert; the vector itself is owned
+    // map lock covers only the find-or-insert; the slot itself is owned
     // by the shard lock already held.
-    std::lock_guard<std::mutex> map_lock(buckets_mu_);
-    bucket = &key_buckets_[key];
+    std::lock_guard<std::mutex> map_lock(keys_mu_);
+    slot = &class_of_key_.try_emplace(key, kInvalidTableauId).first->second;
   }
-  for (TableauId id : *bucket) {
-    // A canonical-key hit is only a candidate: beyond the exact-form row
-    // threshold keys are invariant signatures that non-equivalent
-    // templates may share.
-    Bump(equivalence_confirms_);
-    if (ConfirmEquivalent(id, reduced, reduced_soa)) {
-      Bump(intern_hits_);
-      intern_cache_.Put(fingerprint, id);
-      return id;
-    }
+  if (*slot != kInvalidTableauId) {
+    // Equal exact keys of cores mean one class.
+    Bump(intern_hits_);
+    intern_cache_.Put(fingerprint, *slot);
+    return *slot;
   }
-  TableauId id;
+  // A new class: its SoA lowering is computed once, here, and published
+  // with the representative.
+  SoaTemplate reduced_soa = SoaTemplate::Lower(reduced);
   {
     std::lock_guard<std::shared_mutex> classes_lock(classes_mu_);
-    id = classes_.size();
+    *slot = classes_.size();
     classes_.push_back(std::move(reduced));
     soa_classes_.push_back(std::move(reduced_soa));
-    bucket->push_back(id);
   }
-  intern_cache_.Put(fingerprint, id);
-  return id;
-}
-
-bool Engine::ConfirmEquivalent(TableauId id, const Tableau& reduced,
-                               const SoaTemplate& reduced_soa) {
-  const Tableau& rep = Representative(id);
-  if (rep.Trs() != reduced.Trs()) return false;
-  if (rep.universe() != reduced.universe()) return false;
-  const SoaTemplate& rep_soa = SoaForm(id);
-  HomScratch& scratch = PreparedScratch();
-  const bool equivalent =
-      SoaSearch(rep_soa, reduced_soa, HomMode::kHomomorphism, scratch,
-                nullptr) &&
-      SoaSearch(reduced_soa, rep_soa, HomMode::kHomomorphism, scratch,
-                nullptr);
-  HarvestFilter(scratch);
-  return equivalent;
+  intern_cache_.Put(fingerprint, *slot);
+  return *slot;
 }
 
 const Tableau& Engine::Representative(TableauId id) const {
@@ -378,7 +353,6 @@ EngineStats Engine::ReadStatsOnce() const {
     std::shared_lock<std::shared_mutex> lock(classes_mu_);
     stats.interned_classes = classes_.size();
   }
-  stats.equivalence_confirms = Load(equivalence_confirms_);
   stats.filter = {Load(filter_invocations_), Load(filter_rows_),
                   Load(filter_survivors_)};
   return stats;

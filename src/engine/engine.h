@@ -13,7 +13,7 @@
 // Thread-safety contract: every Engine method may be called concurrently
 // from the parallel closure-search workers (DESIGN.md, "Parallel search").
 // The memo caches are striped behind per-shard mutexes, interning's
-// canonical-key bucket insert-or-confirm is atomic under a shard lock, the
+// canonical-key lookup-or-insert is atomic under a shard lock, the
 // interning store is guarded by a reader/writer lock (published
 // representatives are immutable and their references stable), and the
 // statistics counters are relaxed atomics. The expensive kernels
@@ -63,10 +63,9 @@ namespace viewcap {
 /// Identifier of an interned equivalence class of templates. Two templates
 /// interned into one Engine receive the same TableauId if and only if they
 /// realize the same mapping (Proposition 2.4.3): interning reduces to the
-/// core (unique up to isomorphism, Section 4.2), buckets by canonical key
-/// (isomorphism-invariant), and confirms key collisions with the exact
-/// two-way homomorphism test. Ids are dense indices, stable for the
-/// engine's lifetime — the interning store never evicts.
+/// core (unique up to isomorphism, Section 4.2) and looks up the core's
+/// exact canonical key, which names the class. Ids are dense indices,
+/// stable for the engine's lifetime — the interning store never evicts.
 using TableauId = std::size_t;
 
 inline constexpr TableauId kInvalidTableauId =
@@ -146,9 +145,6 @@ struct EngineStats {
   std::size_t intern_requests = 0;
   std::size_t intern_hits = 0;       ///< Existing class found.
   std::size_t interned_classes = 0;  ///< Live classes (never evicted).
-  /// EquivalentTableaux confirmations run to resolve canonical-key bucket
-  /// collisions during interning.
-  std::size_t equivalence_confirms = 0;
 
   /// Candidate-filter activity of the kernel searches the engine ran
   /// (`survivors / rows` is the survivor rate the stats renderer
@@ -161,18 +157,19 @@ struct EngineStats {
 
 /// Exact structural fingerprint of a template: equal strings iff equal
 /// universe, rows, tags and symbols (no renaming). Used as the memo key
-/// for the per-template kernels, where canonical keys would be unsound
-/// (the beyond-threshold signature path of CanonicalKey may collide for
-/// non-equivalent templates).
+/// for the per-template kernels: it costs one pass over the rows, where a
+/// canonical key costs a labeling search (the key cache memoizes exactly
+/// that search), and Reduce answers in the input's own symbols, so its
+/// memo must tell isomorphic inputs apart.
 std::string TableauFingerprint(const Tableau& t);
 
 /// Version of the fingerprint/cache-key scheme: TableauFingerprint's
-/// format, the verdict-key layout built by CapacityOracle::VerdictKey and
-/// the dominance-key layout of DominanceKeyFor. Bump whenever any of those
-/// encodings changes — the persistent capacity index stamps this version
+/// format, CanonicalKey's format, the verdict-key layout built by
+/// CapacityOracle::VerdictKey and the dominance-key layout of
+/// DominanceKeyFor. Bump whenever any of those encodings changes — the persistent capacity index stamps this version
 /// into its header and a reader rejects files written under a different
 /// scheme (src/index/), so stale key layouts are never silently served.
-inline constexpr std::uint32_t kFingerprintSchemeVersion = 1;
+inline constexpr std::uint32_t kFingerprintSchemeVersion = 2;
 
 class Engine;
 
@@ -407,14 +404,14 @@ class Engine {
   /// Memoized CanonicalKey, keyed by exact fingerprint.
   std::string Key(const Tableau& t);
 
-  /// Interns `t`'s equivalence class: reduce, canonical-key bucket,
-  /// confirm collisions with EquivalentTableaux. Every template is reduced
-  /// and canonicalized at most once per engine. The bucket insert-or-
-  /// confirm is atomic under a per-key shard lock, so concurrent interns
-  /// of equivalent templates agree on one id. A bounded fingerprint ->
-  /// id memo short-circuits re-interning an exact previously seen form
-  /// (the warm-engine steady state) without touching the reduce /
-  /// canonical-key / lowering kernels.
+  /// Interns `t`'s equivalence class: reduce to the core, take its exact
+  /// canonical key, and look the key up — equal keys are one class. Every
+  /// template is reduced and canonicalized at most once per engine. The
+  /// key lookup-or-insert is atomic under a per-key shard lock, so
+  /// concurrent interns of equivalent templates agree on one id. A
+  /// bounded fingerprint -> id memo short-circuits re-interning an exact
+  /// previously seen form (the warm-engine steady state) without touching
+  /// the reduce / canonical-key / lowering kernels.
   TableauId Intern(const Tableau& t);
 
   /// The class's stored reduced representative. The reference is stable
@@ -527,7 +524,7 @@ class Engine {
   HomScratch& PreparedScratch();
   void HarvestFilter(const HomScratch& scratch);
 
-  /// Shard count for the interning bucket locks.
+  /// Shard count for the interning key locks.
   static constexpr std::size_t kInternShards = 16;
 
   const Catalog* catalog_;
@@ -539,22 +536,17 @@ class Engine {
   // representative). classes_mu_ guards the deque's internal structure
   // only: published elements are immutable and their references stable, so
   // readers hold the lock just for the index operation.
-  /// True when the class's representative and `reduced` realize the same
-  /// mapping; `reduced_soa` is the caller's lowering of `reduced`.
-  bool ConfirmEquivalent(TableauId id, const Tableau& reduced,
-                         const SoaTemplate& reduced_soa);
-
   mutable std::shared_mutex classes_mu_;
   std::deque<Tableau> classes_;  // id -> reduced representative.
   std::deque<SoaTemplate> soa_classes_;  // id -> cached SoA lowering.
 
-  // Canonical-key buckets. buckets_mu_ guards the map's find-or-insert
-  // (references to mapped vectors survive rehashing); each vector is then
-  // owned by the shard lock of its key, which is held across the whole
-  // insert-or-confirm so concurrent interns of one class serialize.
-  std::mutex buckets_mu_;
+  // Canonical key -> class id. keys_mu_ guards the map's find-or-insert
+  // (references to mapped values survive rehashing); each mapped id is
+  // then owned by the shard lock of its key, which is held across the
+  // whole lookup-or-insert so concurrent interns of one class serialize.
+  std::mutex keys_mu_;
   std::array<std::mutex, kInternShards> intern_shard_mu_;
-  std::unordered_map<std::string, std::vector<TableauId>> key_buckets_;
+  std::unordered_map<std::string, TableauId> class_of_key_;
 
   // Lazily created parallel-search pool (SharedPool).
   std::mutex pool_mu_;
@@ -580,7 +572,6 @@ class Engine {
   Counter verdict_requests_{0}, verdict_runs_{0};
   Counter dominance_requests_{0}, dominance_runs_{0};
   Counter intern_requests_{0}, intern_hits_{0};
-  Counter equivalence_confirms_{0};
   // Candidate-filter counters (EngineStats::filter), harvested from
   // kernel scratch after each search batch.
   Counter filter_invocations_{0}, filter_rows_{0}, filter_survivors_{0};

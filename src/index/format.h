@@ -39,13 +39,14 @@ namespace viewcap {
 inline constexpr char kIndexMagic[8] = {'V', 'C', 'A', 'P',
                                         'I', 'D', 'X', '1'};
 inline constexpr std::uint32_t kIndexEndianWord = 0x01020304u;
-inline constexpr std::uint32_t kIndexFormatVersion = 1;
+inline constexpr std::uint32_t kIndexFormatVersion = 2;
 
 /// Section ids (the table may list them in any order; each at most once).
+/// Id 2 held format 1's class templates, which format 2 dropped: exact
+/// keys need no confirming templates.
 enum IndexSectionId : std::uint32_t {
   kSectionMeta = 1,      ///< Build limits, saturation budget, entity counts.
-  kSectionClasses = 2,   ///< Interned template classes in row-major form.
-  kSectionKeys = 3,      ///< Sorted canonical-key -> class ordinals table.
+  kSectionKeys = 3,      ///< Sorted exact canonical key -> class ordinal.
   kSectionSets = 4,      ///< Query sets as (handle, class ordinal) members.
   kSectionVerdicts = 5,  ///< Membership verdicts per (set, query class).
   kSectionDominance = 6, ///< Dominance verdicts keyed by DominanceKeyFor.

@@ -123,8 +123,6 @@ Status IndexReader::Load(const std::string& path, Catalog* catalog) {
   }
   VIEWCAP_ASSIGN_OR_RETURN(info_, DecodeInfo(header, file));
 
-  VIEWCAP_ASSIGN_OR_RETURN(std::string_view classes,
-                           FindSection(header, file, kSectionClasses));
   VIEWCAP_ASSIGN_OR_RETURN(keys_, FindSection(header, file, kSectionKeys));
   VIEWCAP_ASSIGN_OR_RETURN(std::string_view sets,
                            FindSection(header, file, kSectionSets));
@@ -132,65 +130,6 @@ Status IndexReader::Load(const std::string& path, Catalog* catalog) {
                            FindSection(header, file, kSectionVerdicts));
   VIEWCAP_ASSIGN_OR_RETURN(dominance_,
                            FindSection(header, file, kSectionDominance));
-
-  {
-    Cursor cursor(classes, "classes section");
-    VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t count, cursor.ReadU32());
-    if (count != info_.classes) {
-      return Status::IllFormed(
-          StrCat("capacity index: classes section holds ", count,
-                 " classes but meta claims ", info_.classes));
-    }
-    decoded_classes_.reserve(count);
-    for (std::uint32_t c = 0; c < count; ++c) {
-      VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t universe_size, cursor.ReadU32());
-      std::vector<AttrId> attrs;
-      attrs.reserve(universe_size);
-      for (std::uint32_t k = 0; k < universe_size; ++k) {
-        VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t attr, cursor.ReadU32());
-        if (!catalog->HasAttribute(attr)) {
-          return Status::IllFormed(StrCat("capacity index: class ", c,
-                                          " references unknown attribute id ",
-                                          attr));
-        }
-        if (!attrs.empty() && attr <= attrs.back()) {
-          return Status::IllFormed(StrCat(
-              "capacity index: class ", c, " universe is not sorted"));
-        }
-        attrs.push_back(attr);
-      }
-      const AttrSet universe(attrs);
-      VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t row_count, cursor.ReadU32());
-      std::vector<TaggedTuple> rows;
-      rows.reserve(row_count);
-      for (std::uint32_t r = 0; r < row_count; ++r) {
-        VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t rel, cursor.ReadU32());
-        if (!catalog->HasRelation(rel)) {
-          return Status::IllFormed(StrCat("capacity index: class ", c,
-                                          " references unknown relation id ",
-                                          rel));
-        }
-        std::vector<Symbol> values;
-        values.reserve(universe_size);
-        for (std::uint32_t k = 0; k < universe_size; ++k) {
-          VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t ordinal, cursor.ReadU32());
-          values.push_back(Symbol{attrs[k], ordinal});
-        }
-        rows.push_back(TaggedTuple{rel, Tuple(universe, std::move(values))});
-      }
-      Result<Tableau> decoded = Tableau::Create(*catalog, universe, rows);
-      if (!decoded.ok()) {
-        return Status::IllFormed(StrCat("capacity index: class ", c,
-                                        " is malformed: ",
-                                        decoded.status().message()));
-      }
-      decoded_classes_.push_back(*std::move(decoded));
-    }
-    if (!cursor.AtEnd()) {
-      return Status::IllFormed(
-          "capacity index: classes section has trailing bytes");
-    }
-  }
 
   VIEWCAP_RETURN_NOT_OK(ValidateKeys());
 
@@ -213,7 +152,7 @@ Status IndexReader::Load(const std::string& path, Catalog* catalog) {
                                           " references unknown handle id ",
                                           handle));
         }
-        if (ordinal >= decoded_classes_.size()) {
+        if (ordinal >= info_.classes) {
           return Status::IllFormed(StrCat("capacity index: set ", s,
                                           " references class ordinal ",
                                           ordinal, " out of range"));
@@ -240,6 +179,11 @@ Status IndexReader::ValidateKeys() {
   Cursor cursor(keys_, "key section");
   VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t count, cursor.ReadU32());
   key_count_ = count;
+  if (count != info_.classes) {
+    return Status::IllFormed(StrCat("capacity index: key section holds ",
+                                    count, " keys but meta claims ",
+                                    info_.classes, " classes"));
+  }
   std::vector<std::uint64_t> offsets;
   offsets.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -248,6 +192,7 @@ Status IndexReader::ValidateKeys() {
   }
   const std::size_t blob_pos = cursor.offset();
   std::string_view previous;
+  std::vector<bool> keyed(count, false);
   for (std::uint32_t i = 0; i < count; ++i) {
     if (offsets[i] > keys_.size() - blob_pos) {
       return Status::IllFormed(
@@ -261,19 +206,16 @@ Status IndexReader::ValidateKeys() {
           "capacity index: key table is not strictly sorted");
     }
     previous = key;
-    VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t ordinal_count, cursor.ReadU32());
-    if (ordinal_count == 0) {
-      return Status::IllFormed(
-          StrCat("capacity index: key entry ", i, " lists no classes"));
+    // Keys are exact, so each names exactly one class and each class has
+    // exactly one key.
+    VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t ordinal, cursor.ReadU32());
+    if (ordinal >= count || keyed[ordinal]) {
+      return Status::IllFormed(StrCat("capacity index: key entry ", i,
+                                      " references class ordinal ", ordinal,
+                                      ordinal >= count ? " out of range"
+                                                       : " twice"));
     }
-    for (std::uint32_t k = 0; k < ordinal_count; ++k) {
-      VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t ordinal, cursor.ReadU32());
-      if (ordinal >= decoded_classes_.size()) {
-        return Status::IllFormed(StrCat("capacity index: key entry ", i,
-                                        " references class ordinal ", ordinal,
-                                        " out of range"));
-      }
-    }
+    keyed[ordinal] = true;
   }
   return Status::OK();
 }
@@ -304,8 +246,7 @@ Status IndexReader::ValidateVerdicts() {
         cursor.Seek(blob_pos + static_cast<std::size_t>(offsets[i])));
     VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t set_ordinal, cursor.ReadU32());
     VIEWCAP_ASSIGN_OR_RETURN(std::uint32_t query_ordinal, cursor.ReadU32());
-    if (set_ordinal >= info_.sets ||
-        query_ordinal >= decoded_classes_.size()) {
+    if (set_ordinal >= info_.sets || query_ordinal >= info_.classes) {
       return Status::IllFormed(StrCat("capacity index: verdict entry ", i,
                                       " references out-of-range ordinals"));
     }
@@ -398,12 +339,8 @@ IndexReader::KeyEntry IndexReader::KeyEntryAt(std::size_t i) const {
   const std::size_t blob_pos = 4 + 8 * key_count_;
   const std::size_t pos =
       blob_pos + static_cast<std::size_t>(U64At(keys_, 4 + 8 * i));
-  KeyEntry entry;
   const std::uint32_t length = U32At(keys_, pos);
-  entry.key = keys_.substr(pos + 4, length);
-  entry.ordinal_count = U32At(keys_, pos + 4 + length);
-  entry.ordinals_pos = pos + 8 + length;
-  return entry;
+  return {keys_.substr(pos + 4, length), U32At(keys_, pos + 4 + length)};
 }
 
 std::optional<std::uint32_t> IndexReader::ResolveClass(Engine& engine,
@@ -413,9 +350,8 @@ std::optional<std::uint32_t> IndexReader::ResolveClass(Engine& engine,
     auto it = class_resolution_.find(id);
     if (it != class_resolution_.end()) return it->second;
   }
-  // The engine work (canonical key, equivalence confirms) runs outside
-  // the resolution lock; racing resolvers of one id compute the same
-  // answer.
+  // The canonical key is computed outside the resolution lock; racing
+  // resolvers of one id compute the same answer.
   const std::string key = engine.Key(engine.Representative(id));
   std::optional<std::uint32_t> resolved;
   std::size_t lo = 0, hi = key_count_;
@@ -428,19 +364,9 @@ std::optional<std::uint32_t> IndexReader::ResolveClass(Engine& engine,
     }
   }
   if (lo < key_count_) {
+    // Equal exact keys mean one class.
     const KeyEntry entry = KeyEntryAt(lo);
-    if (entry.key == key) {
-      // Canonical keys may collide beyond the signature threshold;
-      // confirm each candidate by exact equivalence.
-      for (std::uint32_t k = 0; k < entry.ordinal_count && !resolved; ++k) {
-        const std::uint32_t ordinal =
-            U32At(keys_, entry.ordinals_pos + 4 * k);
-        if (engine.Equivalent(engine.Representative(id),
-                              decoded_classes_[ordinal])) {
-          resolved = ordinal;
-        }
-      }
-    }
+    if (entry.key == key) resolved = entry.ordinal;
   }
   std::lock_guard<std::mutex> lock(resolve_mu_);
   return class_resolution_.try_emplace(id, resolved).first->second;

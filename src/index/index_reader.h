@@ -67,9 +67,10 @@ struct IndexInfo {
 /// structured Status at attach time, never a silently wrong answer later.
 /// After Open, lookups are binary searches over the mapping plus a
 /// per-process resolution cache translating live TableauIds to stored
-/// class ordinals (via the engine's canonical keys, confirmed by exact
-/// equivalence). Lookups are safe for concurrent use; the catalog pointer
-/// is only read (witness re-parsing touches names the fingerprint match
+/// class ordinals: the exact canonical key of a class's representative
+/// names it, so resolving a class is one binary search over the sorted
+/// key table. Lookups are safe for concurrent use; the catalog pointer is
+/// only read (witness re-parsing touches names the fingerprint match
 /// guarantees are already interned).
 class IndexReader : public VerdictIndex {
  public:
@@ -103,9 +104,7 @@ class IndexReader : public VerdictIndex {
 
   /// mmaps `path` and validates everything; called by Open.
   Status Load(const std::string& path, Catalog* catalog);
-  Status ValidateClasses(const Catalog& catalog);
   Status ValidateKeys();
-  Status ValidateSets();
   Status ValidateVerdicts();
   Status ValidateDominance();
 
@@ -116,14 +115,13 @@ class IndexReader : public VerdictIndex {
 
   struct KeyEntry {
     std::string_view key;
-    std::uint32_t ordinal_count = 0;
-    std::size_t ordinals_pos = 0;  // Into keys_.
+    std::uint32_t ordinal = 0;
   };
   KeyEntry KeyEntryAt(std::size_t i) const;
 
   /// Stored class ordinal of live class `id`, or nullopt when the index
-  /// has no equivalent class. Memoized (the file is immutable, so a
-  /// negative answer stays correct).
+  /// has no key equal to the class's. Memoized (the file is immutable, so
+  /// a negative answer stays correct).
   std::optional<std::uint32_t> ResolveClass(Engine& engine, TableauId id);
   std::optional<std::uint32_t> ResolveSet(Engine& engine,
                                           const MembershipProbe& probe);
@@ -141,10 +139,6 @@ class IndexReader : public VerdictIndex {
   std::size_t verdict_count_ = 0;
   std::size_t dominance_count_ = 0;
 
-  /// Every stored class, decoded and validated at Open (class counts are
-  /// bounded by the build's saturation budget, so eager decode is cheap
-  /// and removes all runtime decode-failure paths for classes).
-  std::vector<Tableau> decoded_classes_;
   /// "(handle:ordinal;)*" signature -> set ordinal, built at Open.
   std::unordered_map<std::string, std::uint32_t> set_index_;
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "algebra/printer.h"
+#include "base/check.h"
 #include "base/hash.h"
 #include "base/strings.h"
 #include "base/thread_pool.h"
@@ -21,87 +22,30 @@ namespace viewcap {
 
 namespace {
 
-/// Renames every nondistinguished symbol of `t` to dense per-attribute
-/// ordinals (1, 2, ...) in row-major first-occurrence order. The capacity
-/// sweep's query tableaux carry fresh symbols minted from the engine's
-/// shared pool, so their raw ordinals record GLOBAL mint order — which
-/// depends on thread interleaving during the parallel Phase A sweep. The
-/// canonical labeling is a pure function of the tableau's structure, so
-/// serialized exemplars are byte-identical for every --threads. The
-/// renaming is an injective attribute-preserving map fixing distinguished
-/// symbols, i.e. an isomorphism: the equivalence class and (by the
-/// renaming-invariance contract of CanonicalKey) the key table are
-/// unchanged.
-Tableau CanonicalizeSymbols(const Tableau& t) {
-  SymbolMap rename;
-  std::unordered_map<AttrId, std::uint32_t> next;
-  const std::size_t width = t.universe().size();
-  for (const TaggedTuple& row : t.rows()) {
-    for (std::size_t k = 0; k < width; ++k) {
-      const Symbol s = row.tuple.ValueAt(k);
-      if (s.IsDistinguished()) continue;
-      if (rename.try_emplace(s, Symbol{s.attr, next[s.attr] + 1}).second) {
-        ++next[s.attr];
-      }
-    }
-  }
-  return t.Apply(rename);
-}
-
 /// Dense ordinals for the interned classes the index stores. Ordinals are
 /// assigned in first-reference order, which is deterministic: views in
 /// load order, definitions in declaration order, then the capacity sweep's
-/// deterministic enumeration order.
-///
-/// Each ordinal also records an EXEMPLAR — the symbol-canonicalized
-/// engine-reduced form of the first tableau the build referenced for the
-/// class — and serialization uses exemplars, not Engine::Representative.
-/// The representative's identity depends on which of several equivalent
-/// reduced forms interned first, which the parallel sweep makes a race;
-/// the exemplar is a pure function of the program text and the
-/// deterministic Phase B reference order, so index bytes are identical
-/// for every --threads. Exemplar and representative are equivalent
-/// reduced templates, hence isomorphic, so the canonical-key table is
-/// unaffected either way.
+/// deterministic enumeration order. The key table names each class by the
+/// exact canonical key of its representative; the key is a function of
+/// the class alone, so it does not matter which equivalent reduced form
+/// the parallel sweep interned first, and index bytes are identical for
+/// every --threads.
 class ClassRegistry {
  public:
-  explicit ClassRegistry(Engine* engine) : engine_(engine) {}
-
-  std::uint32_t OrdinalOf(TableauId id, const Tableau& source) {
+  std::uint32_t OrdinalOf(TableauId id) {
     auto [it, inserted] = ordinals_.try_emplace(
-        id, static_cast<std::uint32_t>(exemplars_.size()));
-    if (inserted) {
-      exemplars_.push_back(CanonicalizeSymbols(engine_->Reduced(source)));
-    }
+        id, static_cast<std::uint32_t>(ids_.size()));
+    if (inserted) ids_.push_back(id);
     return it->second;
   }
 
-  const Tableau& exemplar(std::size_t ordinal) const {
-    return exemplars_[ordinal];
-  }
-  std::size_t size() const { return exemplars_.size(); }
+  TableauId id(std::size_t ordinal) const { return ids_[ordinal]; }
+  std::size_t size() const { return ids_.size(); }
 
  private:
-  Engine* engine_;
   std::unordered_map<TableauId, std::uint32_t> ordinals_;
-  std::deque<Tableau> exemplars_;
+  std::vector<TableauId> ids_;
 };
-
-void SerializeTableau(const Tableau& t, std::string& out) {
-  const AttrSet& universe = t.universe();
-  AppendU32(out, static_cast<std::uint32_t>(universe.size()));
-  for (AttrId attr : universe) AppendU32(out, attr);
-  AppendU32(out, static_cast<std::uint32_t>(t.rows().size()));
-  for (const TaggedTuple& row : t.rows()) {
-    AppendU32(out, row.rel);
-    // The tuple is over the full universe (TaggedTuple contract), so the
-    // attribute of position k is universe.attrs()[k]; only ordinals need
-    // storing.
-    for (std::size_t k = 0; k < universe.size(); ++k) {
-      AppendU32(out, row.tuple.ValueAt(k).ordinal);
-    }
-  }
-}
 
 }  // namespace
 
@@ -127,7 +71,7 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
     views.push_back(view);
   }
 
-  ClassRegistry classes(&engine);
+  ClassRegistry classes;
   struct SetRecord {
     std::vector<std::pair<RelId, std::uint32_t>> members;
   };
@@ -147,8 +91,8 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
     SetRecord record;
     record.members.reserve(view->size());
     for (const ViewDefinition& d : view->definitions()) {
-      record.members.emplace_back(
-          d.rel, classes.OrdinalOf(engine.Intern(d.tableau), d.tableau));
+      record.members.emplace_back(d.rel,
+                                  classes.OrdinalOf(engine.Intern(d.tableau)));
     }
     sets.push_back(std::move(record));
     oracles.emplace_back(&engine, *view, options.limits);
@@ -162,8 +106,8 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
   // witnesses and enumeration order are bit-identical for any thread
   // count per the parallel-search contract), so running views
   // concurrently cannot change any stored value — only the racy parts of
-  // the build (ordinal assignment, dedup, exemplar choice) matter for
-  // byte identity, and those all happen in the serial Phase B below.
+  // the build (ordinal assignment, dedup) matter for byte identity, and
+  // those all happen in the serial Phase B below.
   // Duplicate queries across entries re-run Contains instead of being
   // deduped up front (ordinals do not exist yet); the engine's verdict
   // cache makes the repeats warm hits.
@@ -225,8 +169,7 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
   const auto store_verdict = [&](std::uint32_t set_ordinal,
                                  const Tableau& query,
                                  MembershipResult verdict) {
-    const std::uint32_t query_ordinal =
-        classes.OrdinalOf(engine.Intern(query), query);
+    const std::uint32_t query_ordinal = classes.OrdinalOf(engine.Intern(query));
     const auto key = std::make_pair(set_ordinal, query_ordinal);
     // First stored verdict wins, as in the serial build; duplicates carry
     // the identical answer anyway (Contains is deterministic).
@@ -268,30 +211,24 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
   AppendU64(meta, verdicts.size());
   AppendU64(meta, dominance.size());
 
-  std::string classes_section;
-  AppendU32(classes_section, static_cast<std::uint32_t>(classes.size()));
+  // Exact canonical keys, sorted (std::map), each naming one stored class.
+  std::map<std::string, std::uint32_t> by_key;
   for (std::size_t ordinal = 0; ordinal < classes.size(); ++ordinal) {
-    SerializeTableau(classes.exemplar(ordinal), classes_section);
-  }
-
-  // Canonical keys, sorted (std::map), each mapping to every stored class
-  // ordinal sharing the key (distinct classes may collide beyond the
-  // canonical-key threshold; the reader disambiguates by equivalence).
-  std::map<std::string, std::vector<std::uint32_t>> by_key;
-  for (std::size_t ordinal = 0; ordinal < classes.size(); ++ordinal) {
-    by_key[engine.Key(classes.exemplar(ordinal))].push_back(
-        static_cast<std::uint32_t>(ordinal));
+    const bool inserted =
+        by_key.emplace(engine.Key(engine.Representative(classes.id(ordinal))),
+                       static_cast<std::uint32_t>(ordinal))
+            .second;
+    VIEWCAP_CHECK(inserted);  // Distinct classes have distinct keys.
   }
   std::string keys_section;
   {
     std::string blob;
     std::vector<std::uint64_t> offsets;
     offsets.reserve(by_key.size());
-    for (const auto& [key, ordinals] : by_key) {
+    for (const auto& [key, ordinal] : by_key) {
       offsets.push_back(blob.size());
       AppendString(blob, key);
-      AppendU32(blob, static_cast<std::uint32_t>(ordinals.size()));
-      for (std::uint32_t ordinal : ordinals) AppendU32(blob, ordinal);
+      AppendU32(blob, ordinal);
     }
     AppendU32(keys_section, static_cast<std::uint32_t>(offsets.size()));
     for (std::uint64_t offset : offsets) AppendU64(keys_section, offset);
@@ -370,7 +307,6 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
 
   std::vector<std::pair<std::uint32_t, std::string>> sections;
   sections.emplace_back(kSectionMeta, std::move(meta));
-  sections.emplace_back(kSectionClasses, std::move(classes_section));
   sections.emplace_back(kSectionKeys, std::move(keys_section));
   sections.emplace_back(kSectionSets, std::move(sets_section));
   sections.emplace_back(kSectionVerdicts, std::move(verdicts_section));

@@ -37,18 +37,18 @@ struct IndexBuildStats {
 };
 
 /// Closure-saturates every loaded view of `analyzer` up to the build
-/// budget and serializes the complete index image: interned classes, the
-/// sorted canonical-key table, per-view query sets, membership verdicts
-/// (the per-view capacity sweep plus every cross-view definition probe,
-/// negatives included) and whole dominance verdicts for every ordered
-/// view pair. The analyzer's catalog fingerprint is captured before any
+/// budget and serializes the complete index image: the sorted table of
+/// exact canonical keys (one per stored class), per-view query sets,
+/// membership verdicts (the per-view capacity sweep plus every cross-view
+/// definition probe, negatives included) and whole dominance verdicts for
+/// every ordered view pair. The analyzer's catalog fingerprint is captured before any
 /// work and stamped into the header.
 ///
 /// The per-view saturation and cross-view sweeps run in parallel over
 /// views on the engine's shared pool when `options.limits.threads` allows
 /// (0 = hardware concurrency, 1 = serial); output bytes are identical for
-/// every thread count — the order-sensitive steps (class ordinals, dedup,
-/// serialized exemplars) run serially after the parallel phase.
+/// every thread count — the order-sensitive steps (class ordinals, dedup)
+/// run serially after the parallel phase.
 Result<std::string> BuildIndexBytes(Analyzer& analyzer,
                                     const IndexBuildOptions& options,
                                     IndexBuildStats* stats = nullptr);

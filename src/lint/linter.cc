@@ -571,8 +571,8 @@ class LintRun {
   }
 
   /// VCL103: pairwise mapping equivalence through the engine's interning
-  /// store (canonical-key prefilter plus homomorphism confirmation happen
-  /// inside Intern, once per definition rather than once per pair).
+  /// store (reduce and the exact canonical key run inside Intern, once per
+  /// definition rather than once per pair).
   void FindEquivalentDefinitions(std::vector<bool>& flagged) {
     std::vector<TableauId> ids;
     ids.reserve(defs_.size());

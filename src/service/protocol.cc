@@ -314,8 +314,6 @@ JsonValue EngineStatsToJson(const EngineStats& stats) {
           JsonValue::Number(static_cast<double>(stats.intern_hits)));
   obj.Set("interned_classes",
           JsonValue::Number(static_cast<double>(stats.interned_classes)));
-  obj.Set("equivalence_confirms",
-          JsonValue::Number(static_cast<double>(stats.equivalence_confirms)));
   // Candidate-filter activity under its one `scalar` key. Like the
   // rendered table, the entry appears once the filter has run, and the
   // survivor rate is pre-rendered.

@@ -9,30 +9,23 @@
 
 namespace viewcap {
 
-/// Row-count threshold for the exact canonical form; beyond it an
-/// invariant-based signature is used instead (see CanonicalKey). Kept low:
-/// the exact form scans every row permutation (n! of them) and the closure
-/// search computes keys on hot paths.
-inline constexpr std::size_t kMaxRowsForExactCanonicalKey = 5;
-
-/// Returns a string key such that two templates over the same universe that
-/// are identical up to a renaming of nondistinguished symbols get the same
-/// key. For templates with at most kMaxRowsForExactCanonicalKey rows the key
-/// is exact (equal keys iff isomorphic as symbol structures): the
-/// lexicographically least rendering over all row orders, with
-/// nondistinguished symbols renamed in first-occurrence order. Larger
-/// templates get a sound invariant signature (isomorphic templates always
-/// collide; non-isomorphic ones may too), so callers must confirm key hits
-/// with EquivalentTableaux.
+/// Returns an exact canonical key: two templates get the same key if and
+/// only if they have the same universe and one becomes the other under an
+/// attribute-preserving renaming of nondistinguished symbols. The key is
+/// the universe's attribute ids plus the least rendering over the leaves
+/// of an individualization-refinement search (McKay-Piperno, "Practical
+/// graph isomorphism, II", 2014). Reduced templates realize the same
+/// mapping exactly when they are isomorphic (Proposition 2.4.3 and the
+/// uniqueness of cores, Section 4.2), so equal keys of cores name one
+/// equivalence class.
 std::string CanonicalKey(const Tableau& t);
 
 /// Returns an isomorphic copy of `t`: every nondistinguished symbol is
 /// renamed by an injective, attribute-preserving map chosen from `seed`
 /// (reversed per-attribute order, ordinals offset by the seed), so distinct
-/// seeds give distinct labelings of the same symbol structure. By the key's
-/// renaming-invariance contract, CanonicalKey(RenameNondistinguished(t, s))
-/// == CanonicalKey(t) for every seed — on both the exact and the signature
-/// path.
+/// seeds give distinct labelings of the same symbol structure, and
+/// CanonicalKey(RenameNondistinguished(t, s)) == CanonicalKey(t) for every
+/// seed.
 Tableau RenameNondistinguished(const Tableau& t, std::uint32_t seed = 0);
 
 }  // namespace viewcap

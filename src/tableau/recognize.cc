@@ -1,6 +1,6 @@
 #include "tableau/recognize.h"
 
-#include <unordered_map>
+#include <unordered_set>
 
 #include "algebra/enumerator.h"
 #include "base/check.h"
@@ -47,16 +47,11 @@ Result<RecognitionResult> RecognizeExpressionTemplate(
     }
   }
 
-  // Dedup buckets keyed by canonical form, resolved by equivalence.
-  std::unordered_map<std::string, std::vector<Tableau>> seen;
-  auto check_and_insert = [&](const Tableau& reduced) {
-    auto& bucket = seen[CanonicalKey(reduced)];
-    for (const Tableau& existing : bucket) {
-      if (EquivalentTableaux(catalog, existing, reduced)) return true;
-    }
-    bucket.push_back(reduced);
-    return false;
-  };
+  // Reduced candidates deduplicated by exact canonical key: equal keys of
+  // cores mean equivalent mappings, so the target's key also names the
+  // class a realizer must reach.
+  const std::string target_key = CanonicalKey(target);
+  std::unordered_set<std::string> seen;
 
   ExprEnumerator enumerator(&catalog, t.RelNames());
   Status failure = Status::OK();
@@ -75,14 +70,13 @@ Result<RecognitionResult> RecognizeExpressionTemplate(
         if (!HasRowEmbedding(catalog, *built, target)) {
           return ExprEnumerator::Verdict::kSkip;
         }
-        Tableau reduced = Reduce(catalog, *built);
-        if (check_and_insert(reduced)) {
-          return ExprEnumerator::Verdict::kSkip;
-        }
-        if (reduced.Trs() == target_trs &&
-            EquivalentTableaux(catalog, reduced, target)) {
+        std::string key = CanonicalKey(Reduce(catalog, *built));
+        if (key == target_key) {
           result.expression = candidate;
           return ExprEnumerator::Verdict::kStop;
+        }
+        if (!seen.insert(std::move(key)).second) {
+          return ExprEnumerator::Verdict::kSkip;
         }
         return ExprEnumerator::Verdict::kKeep;
       });

@@ -46,26 +46,6 @@ SoaTemplate SoaTemplate::Lower(const Tableau& t) {
   }
   const std::size_t num_symbols = out.dense_to_symbol_.size();
 
-  // Column k of every row is attribute k of the (sorted) universe, so the
-  // column's distinguished symbol is a single dense id per column.
-  out.col_distinguished_.assign(static_cast<std::size_t>(out.width_),
-                                kNoDenseSymbol);
-  {
-    const auto dist_end =
-        out.dense_to_symbol_.begin() + out.num_distinguished_;
-    std::int32_t k = 0;
-    for (AttrId a : t.universe()) {
-      const Symbol s = Symbol::Distinguished(a);
-      const auto it =
-          std::lower_bound(out.dense_to_symbol_.begin(), dist_end, s);
-      if (it != dist_end && !(s < *it)) {
-        out.col_distinguished_[k] =
-            static_cast<DenseSymbolId>(it - out.dense_to_symbol_.begin());
-      }
-      ++k;
-    }
-  }
-
   const std::size_t num_cells =
       static_cast<std::size_t>(out.num_rows_) * out.width_;
   out.cells_.reserve(num_cells);

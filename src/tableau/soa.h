@@ -86,12 +86,6 @@ class SoaTemplate {
   }
   std::int32_t dist_words() const { return dist_words_; }
 
-  /// Dense id of the distinguished symbol 0_{A_k} of column k, or
-  /// kNoDenseSymbol when that symbol occurs in no row.
-  DenseSymbolId col_distinguished(std::int32_t k) const {
-    return col_distinguished_[k];
-  }
-
   /// View into the shared signature pool: one contiguous sorted-unique
   /// run per symbol.
   struct SigSpan {
@@ -133,8 +127,7 @@ class SoaTemplate {
   std::vector<RelId> row_rels_;            // num_rows.
   std::vector<SoaRowGroup> groups_;        // Ascending RelId.
   std::vector<std::uint64_t> dist_masks_;  // num_rows * dist_words.
-  std::vector<DenseSymbolId> col_distinguished_;  // width.
-  std::vector<Symbol> dense_to_symbol_;           // num_symbols.
+  std::vector<Symbol> dense_to_symbol_;    // num_symbols.
   // Signature arena: symbol id's contexts occupy
   // sig_pool_[sig_begin_[id], sig_begin_[id + 1]), sorted unique. One
   // flat pool instead of per-symbol vectors keeps Lower allocation-lean.

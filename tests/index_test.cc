@@ -3,6 +3,7 @@
 // Status, never UB — the whole file runs under the asan/ubsan presets).
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -307,6 +308,93 @@ TEST(IndexInvalidationTest, EveryByteFlipRejected) {
     Result<std::unique_ptr<IndexReader>> opened =
         IndexReader::Open(flipped, &analyzer.catalog());
     EXPECT_FALSE(opened.ok()) << "flip at byte " << i << " accepted";
+  }
+}
+
+// Little-endian field access for hand-edited index bytes.
+std::uint64_t GetLE(const std::string& s, std::size_t pos, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(s[pos + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void PutLE(std::string& s, std::size_t pos, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    s[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// The file `bytes` with its key section rewritten by `edit` and every
+// checksum recomputed, so only the structural checks can object.
+std::string WithEditedKeys(const std::string& bytes,
+                           const std::function<void(std::string&)>& edit) {
+  const IndexHeader header = Unwrap(ParseIndexHeader(bytes));
+  std::vector<std::pair<std::uint32_t, std::string>> sections;
+  for (const IndexSection& section : header.sections) {
+    std::string payload(Unwrap(FindSection(header, bytes, section.id)));
+    if (section.id == kSectionKeys) edit(payload);
+    sections.emplace_back(section.id, std::move(payload));
+  }
+  return AssembleIndexFile(header.catalog_fingerprint, sections);
+}
+
+TEST(IndexInvalidationTest, MalformedKeyTableRejected) {
+  // Two definitions, so the key table has at least two entries.
+  constexpr char kProgramWithTwoClasses[] = R"(
+schema { r(A, B); }
+view V { v1 := pi{A}(r); v2 := pi{B}(r); }
+)";
+  const std::string path = TempPath("keys.vcidx");
+  BuildOver(kProgramWithTwoClasses, path);
+  const std::string bytes = ReadAll(path);
+  Analyzer analyzer;
+  VIEWCAP_EXPECT_OK(analyzer.Load(kProgramWithTwoClasses));
+  const auto open = [&](const std::string& image) {
+    const std::string edited = TempPath("keys_edited.vcidx");
+    WriteAll(edited, image);
+    return IndexReader::Open(edited, &analyzer.catalog());
+  };
+  // Key section: u32 count, one u64 blob offset per entry, then per entry
+  // a u32 length, the key bytes and the u32 class ordinal.
+  const auto ordinal_pos = [](const std::string& keys, std::size_t i) {
+    const std::size_t pos =
+        4 + 8 * GetLE(keys, 0, 4) + GetLE(keys, 4 + 8 * i, 8);
+    return pos + 4 + GetLE(keys, pos, 4);
+  };
+  const IndexHeader header = Unwrap(ParseIndexHeader(bytes));
+  const std::string keys(Unwrap(FindSection(header, bytes, kSectionKeys)));
+  ASSERT_GE(GetLE(keys, 0, 4), 2u);
+  // Re-assembled unchanged, the file still opens.
+  VIEWCAP_EXPECT_OK(open(WithEditedKeys(bytes, [](std::string&) {})).status());
+
+  const std::vector<std::pair<std::function<void(std::string&)>,
+                              std::string>>
+      cases = {
+          {[&](std::string& keys) {
+             PutLE(keys, ordinal_pos(keys, 1),
+                   GetLE(keys, ordinal_pos(keys, 0), 4), 4);
+           },
+           "twice"},
+          {[&](std::string& keys) {
+             PutLE(keys, ordinal_pos(keys, 0), GetLE(keys, 0, 4), 4);
+           },
+           "out of range"},
+          {[](std::string& keys) {
+             const std::uint64_t first = GetLE(keys, 4, 8);
+             PutLE(keys, 4, GetLE(keys, 12, 8), 8);
+             PutLE(keys, 12, first, 8);
+           },
+           "not strictly sorted"},
+      };
+  for (const auto& [edit, message] : cases) {
+    Result<std::unique_ptr<IndexReader>> opened =
+        open(WithEditedKeys(bytes, edit));
+    ASSERT_FALSE(opened.ok()) << message;
+    EXPECT_NE(opened.status().message().find(message), std::string::npos)
+        << opened.status().ToString();
   }
 }
 

@@ -96,7 +96,7 @@ TEST(RenderEngineStatsTest, FreshEngineRendersNoBogusRates) {
   EXPECT_EQ(out.find("| scalar |"), std::string::npos) << out;
 }
 
-TEST(RenderEngineStatsTest, FilterTableShowsOnlyBackendsThatRan) {
+TEST(RenderEngineStatsTest, FilterTableRendersOneRow) {
   EngineStats stats;
   stats.filter.invocations = 4;
   stats.filter.rows = 10;

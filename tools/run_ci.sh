@@ -3,9 +3,10 @@
 # (ASan/UBSan, warnings-as-errors), run the test suite under it, then the
 # concurrency-sensitive subset under ThreadSanitizer (ci-tsan preset), the
 # full suite again under standalone UBSan (ci-ubsan preset, catching UB
-# that the combined ASan build can mask), clang-tidy over the first-party
-# sources, and a threshold-gated benchmark comparison against the checked
-# in bench/BENCH_*.json baselines. Mirrors what a hosted pipeline would
+# that the combined ASan build can mask), the whole-command benchmark's
+# known-answer checks, clang-tidy over the first-party sources, and a
+# threshold-gated benchmark comparison against the checked in
+# bench/BENCH_*.json baselines. Mirrors what a hosted pipeline would
 # run; any stage failing fails the script.
 #
 #   tools/run_ci.sh
@@ -69,6 +70,13 @@ echo "== index round trip (build / fresh-process query diff) =="
 python3 "$repo_root/tools/index_roundtrip.py" \
     "$repo_root/build-asan/tools/viewcap_cli" \
     "$repo_root/examples/programs"
+
+# The benchmark harness's own tests: fixed-round runs of all four
+# perfbench workloads check every answer against answers derived from the
+# workload families, not from the engine, plus seed determinism and the
+# output contract. The script builds the harness under .bench_build/.
+echo "== perfbench known-answer checks =="
+python3 "$repo_root/perfbench/test_perfbench.py"
 
 echo "== clang-tidy =="
 "$repo_root/tools/run_tidy.sh" "$repo_root/build-asan"
