@@ -5,13 +5,12 @@
 // r1(A0,A1) ... rL(A(L-1),AL); view Full publishes the endpoint
 // projection of the whole join, view Gappy publishes every link except
 // the middle one. "Is Full's endpoint query answerable from Gappy?" is a
-// negative membership verdict, and negatives are the expensive case: the
-// closure search must exhaust every candidate up to the leaf budget
-// before it can say no (about 0.4 s at L=4 on a 4-core Xeon VM, and more
-// at L=5, where it runs into the candidate budget). The index build pays that exhaustive
-// search once — the cross-view sweep stores each view's definitions
-// probed against every other view — and a fresh process then serves the
-// same verdict out of the mmap'd file in well under a millisecond.
+// negative membership verdict. Negatives used to be the expensive case,
+// an exhaustive closure search (about 0.4 s at L=4 on a 4-core Xeon VM);
+// the canonical-rewriting refutation now proves this one without the
+// search. The index build stores each view's definitions probed against
+// every other view, and a fresh process then serves the same verdict out
+// of the mmap'd file.
 //
 // The comparison is fresh-process against fresh-process:
 // BM_IndexColdMembership reloads the program and recomputes the verdict
@@ -19,8 +18,10 @@
 // reloads the program, attaches the prebuilt index (mmap + full
 // validation) and serves the stored verdict. Both render bit-identical
 // output; the cold/indexed ratio per chain length is the figure that
-// justifies the build/query split (about 60x at L=3 and 1,800x at L=4
-// on a 4-core Xeon VM, GCC 12.2, RelWithDebInfo).
+// would justify the build/query split. With the refutation it is about
+// 0.9x at L=3 and 0.5x at L=4 (cold 0.11 and 0.14 ms, indexed 0.12 and
+// 0.29 ms on a 4-core Xeon VM, GCC 12.2, RelWithDebInfo): the index no
+// longer wins here.
 //
 // BM_IndexBuild is the offline half (saturation sweep + the exhaustive
 // cross-view probes + serialization); BM_IndexAttach isolates the fixed
@@ -121,8 +122,8 @@ void BM_IndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexBuild)->DenseRange(3, 4)->Unit(benchmark::kMillisecond);
 
-/// Fresh-process cold recompute: reload the program and run the full
-/// exhaustive closure search for the negative endpoint membership.
+/// Fresh-process cold recompute: reload the program and decide the
+/// negative endpoint membership live.
 void BM_IndexColdMembership(benchmark::State& state) {
   const std::size_t links = static_cast<std::size_t>(state.range(0));
   const std::string program = GappedChainProgram(links);

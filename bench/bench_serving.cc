@@ -6,7 +6,7 @@
 // the Warm variants reuse one long-lived Workspace, i.e. daemon
 // semantics, where repeated questions hit the engine's verdict caches.
 // The cold/warm ratio per chain length is the figure that justifies the
-// daemon: 8-10x on repeated membership at chain lengths 2-5 (4-core Xeon
+// daemon: 6-7x on repeated membership at chain lengths 2-5 (4-core Xeon
 // VM, GCC 12.2, RelWithDebInfo).
 //
 // BM_ServingProtocolLine measures the daemon's full per-request overhead

@@ -30,7 +30,11 @@ std::string RenderEngineStats(const EngineStats& stats) {
   std::string out = "## Engine statistics\n\n";
   out += StrCat("Interned template classes: ", stats.interned_classes, " (",
                 stats.intern_requests, " requests, ", stats.intern_hits,
-                " hits)\n\n");
+                " hits)\n");
+  const MembershipCounters& m = stats.membership;
+  out += StrCat("Live membership verdicts: ", m.canonical_witness,
+                " canonical witness, ", m.refutation, " refutation, ",
+                m.enumeration, " enumeration\n\n");
   out += "| cache | requests | hits | hit rate | runs | entries |"
          " evictions |\n";
   out += "|---|---|---|---|---|---|---|\n";

@@ -333,6 +333,10 @@ ThreadPool* Engine::SharedPool(std::size_t total_threads) {
   return pool_.get();
 }
 
+void Engine::CountMembership(MembershipRoute route) {
+  Bump(membership_routes_[static_cast<std::size_t>(route)]);
+}
+
 EngineStats Engine::ReadStatsOnce() const {
   EngineStats stats;
   stats.reduce = {Load(reduce_requests_), Load(reduce_runs_),
@@ -355,6 +359,8 @@ EngineStats Engine::ReadStatsOnce() const {
   }
   stats.filter = {Load(filter_invocations_), Load(filter_rows_),
                   Load(filter_survivors_)};
+  stats.membership = {Load(membership_routes_[0]), Load(membership_routes_[1]),
+                      Load(membership_routes_[2])};
   return stats;
 }
 

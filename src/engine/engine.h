@@ -81,9 +81,11 @@ struct MembershipResult {
   /// is equivalent to the query — the paper's construction T -> beta with
   /// T the witness's template (Theorem 2.3.2).
   ExprPtr witness;
-  /// True when the enumeration stopped on max_candidates before either
-  /// finding a witness or exhausting the leaf budget; a negative verdict is
-  /// then inconclusive.
+  /// True when a negative verdict is inconclusive because the enumeration
+  /// ran short of the Lemma 2.4.8 bound: it stopped on max_candidates
+  /// before finding a witness or exhausting the leaf budget, or it
+  /// exhausted a leaf budget that max_leaves held below the reduced
+  /// query's row count.
   bool budget_exhausted = false;
   std::size_t candidates_tried = 0;
   std::size_t leaf_budget = 0;
@@ -104,6 +106,24 @@ struct DominanceResult {
   std::vector<ExprPtr> witnesses;
   /// Indices of `w` definitions not found in Cap(V).
   std::vector<std::size_t> missing;
+};
+
+/// How a live membership search reached its verdict (see
+/// CapacityOracle::Contains). Verdict-cache and index hits are not live
+/// searches: their own counters count them.
+enum class MembershipRoute {
+  kCanonicalWitness,  ///< The single-copy canonical witness was equivalent.
+  kRefutation,        ///< The canonical rewriting proved non-membership.
+  kEnumeration,       ///< The Lemma 2.4.10 enumeration decided (or ran out).
+};
+
+/// Live membership verdicts per MembershipRoute.
+struct MembershipCounters {
+  std::size_t canonical_witness = 0;
+  std::size_t refutation = 0;
+  std::size_t enumeration = 0;
+
+  bool operator==(const MembershipCounters&) const = default;
 };
 
 /// Engine tuning.
@@ -152,6 +172,9 @@ struct EngineStats {
   /// misses), so like the `runs` counters these are exact at threads=1.
   FilterCounters filter;
 
+  /// How the live membership searches over this engine were settled.
+  MembershipCounters membership;
+
   bool operator==(const EngineStats&) const = default;
 };
 
@@ -166,10 +189,13 @@ std::string TableauFingerprint(const Tableau& t);
 /// Version of the fingerprint/cache-key scheme: TableauFingerprint's
 /// format, CanonicalKey's format, the verdict-key layout built by
 /// CapacityOracle::VerdictKey and the dominance-key layout of
-/// DominanceKeyFor. Bump whenever any of those encodings changes — the persistent capacity index stamps this version
-/// into its header and a reader rejects files written under a different
-/// scheme (src/index/), so stale key layouts are never silently served.
-inline constexpr std::uint32_t kFingerprintSchemeVersion = 2;
+/// DominanceKeyFor. Bump whenever any of those encodings changes, and
+/// whenever what a live search returns for a key changes (a verdict's
+/// witness, candidates_tried or budget_exhausted) — the persistent capacity
+/// index stamps this version into its header and a reader rejects files
+/// written under a different scheme (src/index/), so stale key layouts and
+/// stale stored verdicts are never silently served.
+inline constexpr std::uint32_t kFingerprintSchemeVersion = 3;
 
 class Engine;
 
@@ -470,6 +496,10 @@ class Engine {
   std::optional<DominanceResult> LookupDominance(const std::string& key);
   void StoreDominance(const std::string& key, const DominanceResult& verdict);
 
+  /// Counts one live membership verdict under `route`
+  /// (EngineStats::membership).
+  void CountMembership(MembershipRoute route);
+
   /// The worker pool shared by every parallel search running over this
   /// engine, sized for `total_threads` concurrent threads (the pool holds
   /// total_threads - 1 workers; the searching thread itself is the last
@@ -575,6 +605,8 @@ class Engine {
   // Candidate-filter counters (EngineStats::filter), harvested from
   // kernel scratch after each search batch.
   Counter filter_invocations_{0}, filter_rows_{0}, filter_survivors_{0};
+  // Live membership verdicts, indexed by MembershipRoute.
+  std::array<Counter, 3> membership_routes_{};
 
   std::atomic<VerdictIndex*> attached_index_{nullptr};
 };

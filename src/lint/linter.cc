@@ -93,17 +93,6 @@ struct ViewRec {
   std::size_t resolved_defs = 0;  ///< Of those, entries in defs_.
 };
 
-/// True when the typed expression contains a join node anywhere — the test
-/// for the project-select fragment the VCL204 note cites.
-bool ContainsJoin(const ExprPtr& expr) {
-  if (expr == nullptr) return false;
-  if (expr->kind() == Expr::Kind::kJoin) return true;
-  for (const ExprPtr& child : expr->children()) {
-    if (ContainsJoin(child)) return true;
-  }
-  return false;
-}
-
 /// Inline suppressions: line -> codes ignored on that line. A comment
 /// `vcl-ignore(VCL101, VCL102)` (after `#`, `//` or `--`) targets its own
 /// line, or the next line when the comment stands alone.
@@ -798,15 +787,13 @@ class LintRun {
 
   /// VCL204: an inconclusive whole-program check is not silence — it is a
   /// note placing the program relative to the determinacy decidability
-  /// boundary mapped by the modern literature.
+  /// boundary mapped by the modern literature. Only programs with joins
+  /// reach it: in a join-free program every definition is one row
+  /// pi_Y(r), and a one-row query is settled by the canonical witness or
+  /// the canonical-rewriting refutation before any budget applies (the
+  /// project-select fragment, where determinacy is decidable,
+  /// arXiv:2411.08874).
   void ReportDeterminacyBoundary(const std::vector<bool>& inconclusive) {
-    bool project_select = true;
-    for (const DefInfo& def : defs_) {
-      if (ContainsJoin(def.expanded)) {
-        project_select = false;
-        break;
-      }
-    }
     for (std::size_t v = 0; v < views_.size(); ++v) {
       if (!inconclusive[v]) continue;
       sink_.Report(
@@ -815,14 +802,9 @@ class LintRun {
                  views_[v].name,
                  "' is inconclusive: a closure search exhausted its "
                  "candidate budget"),
-          project_select
-              ? "the program is in the project-select fragment, where "
-                "determinacy is decidable (arXiv:2411.08874): a larger "
-                "budget (max_candidates/max_leaves) can settle the verdict"
-              : "the program uses joins, and general conjunctive-query "
-                "determinacy is undecidable (arXiv:1501.01817): "
-                "budget-bounded search is the strongest complete check "
-                "available");
+          "the program uses joins, and general conjunctive-query "
+          "determinacy is undecidable (arXiv:1501.01817): budget-bounded "
+          "search is the strongest complete check available");
     }
   }
 

@@ -68,11 +68,13 @@
 //                                            expansion exists
 //   VCL204 determinacy-boundary    (note)    a whole-program check ran out
 //                                            of budget; the note cites the
-//                                            decidability boundary
-//                                            (project-select determinacy
-//                                            is decidable, arXiv:2411.08874;
-//                                            general CQ determinacy is not,
-//                                            arXiv:1501.01817)
+//                                            undecidability of general CQ
+//                                            determinacy (arXiv:1501.01817).
+//                                            Join-free programs never reach
+//                                            it: the canonical witness and
+//                                            the refutation settle every
+//                                            one-row query before a budget
+//                                            applies
 //
 // Findings can be suppressed inline: a comment `-- vcl-ignore(VCL101)`
 // (also `#` / `//`) suppresses the listed codes on its own line, or on the

@@ -314,6 +314,15 @@ JsonValue EngineStatsToJson(const EngineStats& stats) {
           JsonValue::Number(static_cast<double>(stats.intern_hits)));
   obj.Set("interned_classes",
           JsonValue::Number(static_cast<double>(stats.interned_classes)));
+  JsonValue membership = JsonValue::Object();
+  membership.Set("canonical_witness",
+                 JsonValue::Number(
+                     static_cast<double>(stats.membership.canonical_witness)));
+  membership.Set("refutation", JsonValue::Number(static_cast<double>(
+                                   stats.membership.refutation)));
+  membership.Set("enumeration", JsonValue::Number(static_cast<double>(
+                                    stats.membership.enumeration)));
+  obj.Set("membership", std::move(membership));
   // Candidate-filter activity under its one `scalar` key. Like the
   // rendered table, the entry appears once the filter has run, and the
   // survivor rate is pre-rendered.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "base/check.h"
 
@@ -79,10 +80,23 @@ class EmbeddingSearch {
 }  // namespace
 
 Relation EvaluateTableau(const Tableau& t, const Instantiation& alpha) {
+  std::size_t unbounded = std::numeric_limits<std::size_t>::max();
+  return *EvaluateTableauBounded(t, alpha, &unbounded);
+}
+
+std::optional<Relation> EvaluateTableauBounded(const Tableau& t,
+                                               const Instantiation& alpha,
+                                               std::size_t* budget) {
   const AttrSet trs = t.Trs();
   Relation out(trs);
+  bool exhausted = false;
   EmbeddingSearch search(t, alpha);
   search.Run([&](const SymbolMap& binding) {
+    if (*budget == 0) {
+      exhausted = true;
+      return false;
+    }
+    --*budget;
     std::vector<Symbol> values;
     values.reserve(trs.size());
     for (AttrId a : trs) {
@@ -95,6 +109,7 @@ Relation EvaluateTableau(const Tableau& t, const Instantiation& alpha) {
     out.Insert(Tuple(trs, std::move(values)));
     return true;
   });
+  if (exhausted) return std::nullopt;
   return out;
 }
 

@@ -9,6 +9,8 @@
 #include "base/strings.h"
 #include "base/thread_pool.h"
 #include "tableau/build.h"
+#include "tableau/counterexample.h"
+#include "tableau/evaluate.h"
 #include "tableau/homomorphism.h"
 
 namespace viewcap {
@@ -143,8 +145,8 @@ struct CandidateEval {
 // pi_TRS(Q)(join of one copy of every member whose query row-embeds into
 // Q), return that witness immediately. Sound (the witness is checked by
 // homomorphisms) but not complete — queries needing several copies of a
-// member or partial projections inside the join fall through to the full
-// enumeration.
+// member or partial projections inside the join fall through to the
+// refutation and then the full enumeration.
 Result<std::optional<ExprPtr>> TryCanonicalWitness(
     Engine& engine, const QuerySet& set,
     const std::vector<TableauId>& member_ids,
@@ -174,12 +176,68 @@ Result<std::optional<ExprPtr>> TryCanonicalWitness(
   SymbolPool pool;
   VIEWCAP_ASSIGN_OR_RETURN(
       Tableau level, BuildTableau(catalog, set.universe(), *candidate, pool));
-  VIEWCAP_ASSIGN_OR_RETURN(
-      TableauId expansion,
-      engine.ExpansionClass(engine.Intern(level), beta));
-  // Same class <=> equivalent mappings (which also forces equal TRS).
-  if (expansion == query_id) return std::optional(candidate);
+  VIEWCAP_ASSIGN_OR_RETURN(Tableau expansion,
+                           SubstituteTableau(catalog, level, beta, pool));
+  // Equivalence is a homomorphism each way (Proposition 2.4.3; it also
+  // forces equal TRS). Interning the expansion would first reduce it to
+  // its core, which dominates on large symmetric expansions.
+  if (HasHomomorphism(catalog, reduced_query, expansion) &&
+      HasHomomorphism(catalog, expansion, reduced_query)) {
+    return std::optional(candidate);
+  }
   return std::optional<ExprPtr>();
+}
+
+// Bound on the alpha-embeddings the refutation's member evaluations visit
+// together. Past it the refutation gives up and Contains enumerates, so
+// no question costs more than the enumeration plus this bounded work.
+constexpr std::size_t kRefutationEmbeddingLimit = 1 << 12;
+
+// The canonical-rewriting refutation (Levy, Mendelzon, Sagiv and
+// Srivastava, PODS 1995; DESIGN.md, "Search pruning"). Freezes the reduced
+// query Q into the instantiation D_Q, evaluates every member on it, and
+// makes each answer tuple one handle-tagged row of T_can, with fresh
+// symbols outside the handle's type. Any witness's template maps into
+// T_can, so a witness E gives Q -> exp(E) -> exp(T_can): when Q has no
+// homomorphism into T_can -> beta, no witness exists. True means refuted;
+// false means Q passed the test or the evaluation hit its bound, and the
+// enumeration decides.
+Result<bool> RefutedByCanonicalRewriting(
+    const Engine& engine, const QuerySet& set,
+    const std::vector<TableauId>& member_ids,
+    const TemplateAssignment& beta, const Tableau& reduced_query) {
+  const Catalog& catalog = engine.catalog();
+  const AttrSet& universe = set.universe();
+  const Instantiation frozen = FreezeTableau(catalog, reduced_query);
+  SymbolPool pool;
+  reduced_query.ReserveSymbols(pool);
+  std::vector<TaggedTuple> rows;
+  AttrSet can_trs;
+  std::size_t budget = kRefutationEmbeddingLimit;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    std::optional<Relation> answers = EvaluateTableauBounded(
+        engine.Representative(member_ids[i]), frozen, &budget);
+    if (!answers.has_value()) return false;
+    for (const Tuple& answer : *answers) {
+      std::vector<Symbol> values;
+      values.reserve(universe.size());
+      for (AttrId a : universe) {
+        values.push_back(answer.scheme().Contains(a) ? answer.At(a)
+                                                     : pool.Fresh(a));
+      }
+      can_trs = can_trs.Union(answer.DistinguishedAttrs());
+      rows.push_back(TaggedTuple{set.members()[i].handle,
+                                 Tuple(universe, std::move(values))});
+    }
+  }
+  // exp(T_can) has T_can's TRS, and a homomorphism fixes 0_A: an empty
+  // T_can, or one missing part of TRS(Q), admits none.
+  if (!reduced_query.Trs().SubsetOf(can_trs)) return true;
+  VIEWCAP_ASSIGN_OR_RETURN(
+      Tableau can, Tableau::Create(catalog, universe, std::move(rows)));
+  VIEWCAP_ASSIGN_OR_RETURN(Tableau expansion,
+                           SubstituteTableau(catalog, can, beta, pool));
+  return !HasHomomorphism(catalog, reduced_query, expansion);
 }
 
 }  // namespace
@@ -231,6 +289,15 @@ Result<MembershipResult> CapacityOracle::Contains(const Tableau& query) const {
   if (canonical.has_value()) {
     result.member = true;
     result.witness = std::move(*canonical);
+    engine_->CountMembership(MembershipRoute::kCanonicalWitness);
+    engine_->StoreVerdict(verdict_key, result);
+    return result;
+  }
+  VIEWCAP_ASSIGN_OR_RETURN(
+      bool refuted, RefutedByCanonicalRewriting(*engine_, set_, member_ids_,
+                                                beta, reduced_query));
+  if (refuted) {
+    engine_->CountMembership(MembershipRoute::kRefutation);
     engine_->StoreVerdict(verdict_key, result);
     return result;
   }
@@ -398,7 +465,12 @@ Result<MembershipResult> CapacityOracle::Contains(const Tableau& query) const {
 
   VIEWCAP_RETURN_NOT_OK(failure);
   result.candidates_tried = stats.generated;
-  result.budget_exhausted = stats.exhausted_budget;
+  // A leaf budget that max_leaves holds below |Q_red| stops short of the
+  // Lemma 2.4.8 bound, so a negative under it is inconclusive too.
+  result.budget_exhausted =
+      stats.exhausted_budget ||
+      (!result.member && result.leaf_budget < reduced_query.size());
+  engine_->CountMembership(MembershipRoute::kEnumeration);
   engine_->StoreVerdict(verdict_key, result);
   return result;
 }

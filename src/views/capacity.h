@@ -90,10 +90,13 @@ struct ExhibitedConstruction {
 };
 
 /// Decides membership in the closure of a query set, and with it membership
-/// in Cap(V) (Theorem 2.4.11). Enumeration follows Lemma 2.4.10 organized
-/// by handle-level expressions; candidates are deduplicated by equivalence
-/// of their (reduced) expansions, which is a congruence for projection and
-/// join (Lemma 2.3.1), so pruning preserves completeness.
+/// in Cap(V) (Theorem 2.4.11). Contains first tries two cheap proofs: the
+/// canonical single-copy witness (a "yes") and the canonical-rewriting
+/// refutation (a "no"; DESIGN.md, "Search pruning"). Only when both fail
+/// does it enumerate, following Lemma 2.4.10 organized by handle-level
+/// expressions; candidates are deduplicated by equivalence of their
+/// (reduced) expansions, which is a congruence for projection and join
+/// (Lemma 2.3.1), so pruning preserves completeness.
 ///
 /// All closure kernels route through an Engine: levels and expansions are
 /// interned once, equivalence tests become TableauId comparisons, and

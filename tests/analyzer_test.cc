@@ -108,9 +108,10 @@ TEST_F(AnalyzerTest, DuplicateViewNameRejected) {
 TEST_F(AnalyzerTest, LimitsArePluggable) {
   SearchLimits limits;
   limits.max_candidates = 1;
-  // A non-member query under a starved budget: the analyzer reports the
-  // exhaustion instead of a clean negative.
-  MembershipResult m = Unwrap(analyzer_.CheckAnswerable("W", "r", limits));
+  // A member only the enumeration finds, under a starved budget: the
+  // analyzer reports the exhaustion instead of a clean negative.
+  MembershipResult m = Unwrap(
+      analyzer_.CheckAnswerable("W", "pi{A}(r) * pi{C}(r)", limits));
   EXPECT_FALSE(m.member);
   EXPECT_TRUE(m.budget_exhausted);
 }

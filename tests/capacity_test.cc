@@ -90,6 +90,8 @@ TEST_F(CapacityTest, NonMembersRejected) {
     MembershipResult m = Unwrap(oracle.Contains(MustParse(catalog_, text)));
     EXPECT_FALSE(m.member) << text;
     EXPECT_FALSE(m.budget_exhausted) << text;
+    // The canonical-rewriting refutation decides each without enumerating.
+    EXPECT_EQ(m.candidates_tried, 0u) << text;
   }
 }
 
@@ -122,11 +124,52 @@ TEST_F(CapacityTest, BudgetExhaustionIsReported) {
   SearchLimits limits;
   limits.max_candidates = 1;  // Absurdly small.
   CapacityOracle oracle(&engines_.New(), *view_, limits);
-  // A non-member: the canonical-witness fast path fails and the (capped)
-  // enumeration gives up immediately.
-  MembershipResult m = Unwrap(oracle.Contains(MustParse(catalog_, "r")));
+  // A member only the enumeration finds (it needs both projections inside
+  // the join): the canonical witness fails, the refutation cannot refute
+  // it, and the capped enumeration gives up after one candidate.
+  MembershipResult m =
+      Unwrap(oracle.Contains(MustParse(catalog_, "pi{A}(r) * pi{C}(r)")));
   EXPECT_FALSE(m.member);
   EXPECT_TRUE(m.budget_exhausted);
+  EXPECT_EQ(m.candidates_tried, 1u);
+}
+
+TEST_F(CapacityTest, LeafCappedNegativeIsInconclusive) {
+  // The member above has 2 leaves, one per row of the reduced query. A
+  // max_leaves of 1 holds the enumeration below the Lemma 2.4.8 bound:
+  // the whole 1-leaf space runs dry, and the negative is inconclusive.
+  SearchLimits limits;
+  limits.max_leaves = 1;
+  CapacityOracle oracle(&engines_.New(), *view_, limits);
+  MembershipResult m =
+      Unwrap(oracle.Contains(MustParse(catalog_, "pi{A}(r) * pi{C}(r)")));
+  EXPECT_FALSE(m.member);
+  EXPECT_TRUE(m.budget_exhausted);
+  EXPECT_EQ(m.leaf_budget, 1u);
+  EXPECT_EQ(m.candidates_tried, 6u);
+  // Within the bound the same enumeration finds the witness.
+  CapacityOracle full(&engines_.New(), *view_);
+  EXPECT_TRUE(Unwrap(full.Contains(MustParse(catalog_, "pi{A}(r) * pi{C}(r)")))
+                  .member);
+}
+
+TEST_F(CapacityTest, MembershipRoutesAreCounted) {
+  Engine& engine = engines_.New();
+  CapacityOracle oracle(&engine, *view_);
+  // One verdict per route: the canonical witness w1, the refutation of r
+  // (its projections lose the A-C correlation), and the enumeration for
+  // the cross product.
+  EXPECT_TRUE(
+      Unwrap(oracle.Contains(MustParse(catalog_, "pi{A,B}(r)"))).member);
+  EXPECT_FALSE(Unwrap(oracle.Contains(MustParse(catalog_, "r"))).member);
+  EXPECT_TRUE(Unwrap(oracle.Contains(MustParse(catalog_, "pi{A}(r) * pi{C}(r)")))
+                  .member);
+  EXPECT_EQ(engine.StatsSnapshot().membership,
+            (MembershipCounters{1, 1, 1}));
+  // A repeat is a verdict-cache hit, not a live search.
+  Unwrap(oracle.Contains(T("r")));
+  EXPECT_EQ(engine.StatsSnapshot().membership,
+            (MembershipCounters{1, 1, 1}));
 }
 
 TEST_F(CapacityTest, LeafBudgetFollowsReducedQuerySize) {

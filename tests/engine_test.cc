@@ -90,6 +90,8 @@ TEST_F(EngineTest, StatsCountersGoldenForTinyWorkload) {
   EXPECT_EQ(s.canonical_key.runs, 1u);
   EXPECT_EQ(s.reduce.entries, 1u);
   EXPECT_EQ(s.reduce.evictions, 0u);
+  // Interning alone settles no membership question.
+  EXPECT_EQ(s.membership, MembershipCounters{});
 }
 
 TEST_F(EngineTest, MemoCachesEvictUnderBoundedCapacity) {

@@ -132,5 +132,30 @@ TEST_F(EvaluateTest, OutputDeduplicates) {
   EXPECT_EQ(EvaluateTableau(t, *alpha_).size(), 1u);
 }
 
+TEST_F(EvaluateTest, BoundedEvaluationSharesOneBudget) {
+  Fill(r_, {{1, 1}, {2, 1}});
+  Fill(s_, {{1, 5}, {1, 6}});
+  Tableau t = Unwrap(Tableau::Create(
+      catalog_, u_,
+      {Row(catalog_, u_, "r", {"0", "b1", "c8"}),
+       Row(catalog_, u_, "s", {"a8", "b1", "0"})}));
+  // Four embeddings: a budget of exactly four answers in full and is
+  // spent; the same budget then cannot pay for a second evaluation.
+  std::size_t budget = 4;
+  std::optional<Relation> full = EvaluateTableauBounded(t, *alpha_, &budget);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(*full, EvaluateTableau(t, *alpha_));
+  EXPECT_EQ(budget, 0u);
+  EXPECT_FALSE(EvaluateTableauBounded(t, *alpha_, &budget).has_value());
+  // A budget below the embedding count gives up and is spent.
+  budget = 3;
+  EXPECT_FALSE(EvaluateTableauBounded(t, *alpha_, &budget).has_value());
+  EXPECT_EQ(budget, 0u);
+  // Only visited embeddings are charged.
+  budget = 10;
+  ASSERT_TRUE(EvaluateTableauBounded(t, *alpha_, &budget).has_value());
+  EXPECT_EQ(budget, 6u);
+}
+
 }  // namespace
 }  // namespace viewcap

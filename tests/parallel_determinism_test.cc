@@ -96,16 +96,22 @@ TEST_F(ParallelDeterminismTest, MemberFoundByEnumerationIsIdentical) {
 }
 
 TEST_F(ParallelDeterminismTest, NonMemberVerdictIsIdentical) {
-  // The full relation r is not recoverable from its two projections; the
-  // search runs to natural exhaustion of the leaf budget.
+  // The 2-leaf member of MemberFoundByEnumerationIsIdentical under a leaf
+  // cap of 1: the refutation cannot settle it, so the sharded search runs
+  // its whole 1-leaf space (6 candidates) to natural exhaustion and
+  // reports a negative, inconclusive because the cap sits below the
+  // reduced query's 2 rows.
+  const std::string query = "pi{A}(r) * pi{C}(r)";
   SearchLimits limits;
+  limits.max_leaves = 1;
   limits.threads = 1;
-  MembershipResult reference = Membership("r", limits);
+  MembershipResult reference = Membership(query, limits);
   ASSERT_FALSE(reference.member);
-  ASSERT_FALSE(reference.budget_exhausted);
+  ASSERT_TRUE(reference.budget_exhausted);
+  ASSERT_EQ(reference.candidates_tried, 6u);
   for (std::size_t threads : kThreadCounts) {
     limits.threads = threads;
-    MembershipResult m = Membership("r", limits);
+    MembershipResult m = Membership(query, limits);
     EXPECT_FALSE(m.member) << threads;
     EXPECT_EQ(m.budget_exhausted, reference.budget_exhausted) << threads;
     EXPECT_EQ(m.candidates_tried, reference.candidates_tried) << threads;
@@ -113,17 +119,19 @@ TEST_F(ParallelDeterminismTest, NonMemberVerdictIsIdentical) {
 }
 
 TEST_F(ParallelDeterminismTest, BudgetExhaustedNonMemberIsIdentical) {
-  // With a tiny candidate cap the non-member search is cut off mid-stream:
-  // every thread count must report the same (exhausted) statistics.
+  // With a tiny candidate cap the search for a member only the
+  // enumeration finds is cut off mid-stream, leaving a negative: every
+  // thread count must report the same (exhausted) statistics.
+  const std::string query = "pi{A}(r) * pi{C}(r)";
   SearchLimits limits;
   limits.max_candidates = 4;  // The leaf-1 stream alone has 6 candidates.
   limits.threads = 1;
-  MembershipResult reference = Membership("r", limits);
+  MembershipResult reference = Membership(query, limits);
   ASSERT_FALSE(reference.member);
   ASSERT_TRUE(reference.budget_exhausted);
   for (std::size_t threads : kThreadCounts) {
     limits.threads = threads;
-    MembershipResult m = Membership("r", limits);
+    MembershipResult m = Membership(query, limits);
     EXPECT_FALSE(m.member) << threads;
     EXPECT_TRUE(m.budget_exhausted) << threads;
     EXPECT_EQ(m.candidates_tried, reference.candidates_tried) << threads;

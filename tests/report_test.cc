@@ -88,6 +88,10 @@ TEST(RenderEngineStatsTest, FreshEngineRendersNoBogusRates) {
   const std::string out = RenderEngineStats(EngineStats{});
   EXPECT_NE(out.find("| reduce | 0 | 0 | n/a |"), std::string::npos) << out;
   EXPECT_EQ(out.find("0.0%"), std::string::npos) << out;
+  EXPECT_NE(out.find("Live membership verdicts: 0 canonical witness, "
+                     "0 refutation, 0 enumeration\n"),
+            std::string::npos)
+      << out;
   // The filter table renders its header but no backend rows: no filter
   // ran, so there is nothing to rate.
   EXPECT_NE(out.find("### Candidate filter"), std::string::npos);
@@ -110,6 +114,20 @@ TEST(RenderEngineStatsTest, FilterTableRendersOneRow) {
             "| backend | invocations | rows | survivors | survivor rate |\n"
             "|---|---|---|---|---|\n"
             "| scalar | 4 | 10 | 5 | 50.0% |\n");
+}
+
+TEST(RenderEngineStatsTest, MembershipRoutesRenderOnOneLine) {
+  EngineStats stats;
+  stats.interned_classes = 3;
+  stats.intern_requests = 5;
+  stats.intern_hits = 2;
+  stats.membership = {4, 2, 1};
+  const std::string out = RenderEngineStats(stats);
+  EXPECT_EQ(out.substr(0, out.find("| cache |")),
+            "## Engine statistics\n\n"
+            "Interned template classes: 3 (5 requests, 2 hits)\n"
+            "Live membership verdicts: 4 canonical witness, 2 refutation, "
+            "1 enumeration\n\n");
 }
 
 TEST(RenderEngineStatsTest, LiveEngineReportsFilterActivity) {

@@ -449,6 +449,16 @@ TEST(ServiceProtocolTest, EveryKindSurvivesJsonRoundTrip) {
   }
 }
 
+TEST(ServiceProtocolTest, StatsJsonCountsMembershipRoutes) {
+  EngineStats stats;
+  stats.membership = {4, 2, 1};
+  const std::string json = WriteJson(EngineStatsToJson(stats));
+  EXPECT_NE(json.find("\"membership\":{\"canonical_witness\":4,"
+                      "\"refutation\":2,\"enumeration\":1}"),
+            std::string::npos)
+      << json;
+}
+
 TEST(ServiceProtocolTest, MethodAliasesResolve) {
   JsonValue params = Unwrap(ParseJson(R"js({"view":"W","query":"r"})js"));
   EXPECT_EQ(Unwrap(RequestFromJson("membership", &params)).kind,
