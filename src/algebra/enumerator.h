@@ -107,30 +107,17 @@ class ExprEnumerator {
   template <typename EvalResult>
   struct ShardedVisitor {
     /// Worker-side per-candidate evaluation (thread-safe, order-free).
-    /// Always required: the commit walk falls back to it for candidates
-    /// the cancellation bound skipped.
+    /// The commit walk also calls it for candidates the cancellation bound
+    /// skipped.
     std::function<EvalResult(const ExprPtr&)> evaluate;
-    /// Optional bulk evaluation. When set, workers are handed contiguous
-    /// chunks [begin, end) of the level's candidate list and must return
-    /// one result per candidate, identical to calling `evaluate` on each
-    /// — the wave form exists so an implementation can batch the chunk's
-    /// kernel work (e.g. Engine::RowEmbedsBatch against one shared
-    /// target). Chunks are handed out in increasing index order and a
-    /// chunk is skipped only when its first index is beyond the stop
-    /// bound, so the smallest stop index is still found exactly.
-    std::function<std::vector<EvalResult>(const std::vector<ExprPtr>& level,
-                                          std::size_t begin,
-                                          std::size_t end)>
-        evaluate_wave;
     /// Worker-side cancellation predicate over an evaluation (cheap).
     std::function<bool(const EvalResult&)> is_stop;
     /// Serial, enumeration-index-order verdict (sole state mutator).
     std::function<Verdict(const ExprPtr&, const EvalResult&)> commit;
   };
 
-  /// Candidates per worker chunk when a visitor supplies evaluate_wave.
-  /// Small enough to keep the cancellation bound responsive, large enough
-  /// to amortize per-wave setup.
+  /// Candidates per worker chunk. Small enough to keep the cancellation
+  /// bound responsive, large enough to amortize per-chunk dispatch.
   static constexpr std::size_t kWaveChunk = 8;
 
   template <typename EvalResult>
@@ -146,10 +133,11 @@ class ExprEnumerator {
       const bool truncated = GenerateLevel(s, kept, remaining, &level);
       if (truncated) stats.exhausted_budget = true;
 
-      // Evaluate the wave. Chunks (single candidates without
-      // evaluate_wave) are handed out in increasing order, so every index
-      // at or below the final stop bound is evaluated before the workers
-      // drain; rounds past a settled stop bound are skipped (left empty).
+      // Evaluate the wave. Chunks of kWaveChunk candidates are handed out
+      // in increasing order, and a chunk is skipped only when its first
+      // index is beyond the stop bound, so every index at or below the
+      // final stop bound is evaluated before the workers drain; rounds
+      // past a settled stop bound are skipped (left empty).
       std::vector<std::optional<EvalResult>> evals(level.size());
       std::atomic<std::size_t> stop_bound{
           std::numeric_limits<std::size_t>::max()};
@@ -160,24 +148,13 @@ class ExprEnumerator {
                                 bound, i, std::memory_order_acq_rel)) {
         }
       };
-      const bool waved = static_cast<bool>(visitor.evaluate_wave);
-      const std::size_t chunk = waved ? kWaveChunk : 1;
-      const std::size_t chunks = (level.size() + chunk - 1) / chunk;
+      const std::size_t chunks = (level.size() + kWaveChunk - 1) / kWaveChunk;
       const auto run_chunk = [&](std::size_t c) {
-        const std::size_t begin = c * chunk;
-        const std::size_t end = std::min(level.size(), begin + chunk);
-        if (waved) {
-          std::vector<EvalResult> results =
-              visitor.evaluate_wave(level, begin, end);
-          for (std::size_t i = begin; i < end; ++i) {
-            EvalResult& eval = results[i - begin];
-            if (visitor.is_stop(eval)) ratchet(i);
-            evals[i] = std::move(eval);
-          }
-        } else {
-          EvalResult eval = visitor.evaluate(level[begin]);
-          if (visitor.is_stop(eval)) ratchet(begin);
-          evals[begin] = std::move(eval);
+        const std::size_t end = std::min(level.size(), (c + 1) * kWaveChunk);
+        for (std::size_t i = c * kWaveChunk; i < end; ++i) {
+          EvalResult eval = visitor.evaluate(level[i]);
+          if (visitor.is_stop(eval)) ratchet(i);
+          evals[i] = std::move(eval);
         }
       };
       // Chunks are dispatched in fixed rounds of `threads` with a barrier
@@ -185,13 +162,13 @@ class ExprEnumerator {
       // round boundaries (where every prior chunk has quiesced). The set
       // of evaluated candidates is therefore a pure function of the level
       // and the smallest stop index — never of thread timing — which is
-      // what keeps engine cache counters identical across runs at a given
-      // thread count (the SoA/legacy differential suite asserts this).
+      // what keeps the engine's memo counters identical across runs at a
+      // given thread count (racing interns aside: engine.h).
       // Rounds of one chunk at threads <= 1 reproduce the serial
       // check-before-every-chunk behavior exactly.
       const std::size_t round = threads > 1 ? threads : 1;
       for (std::size_t first = 0; first < chunks; first += round) {
-        if (first * chunk > stop_bound.load(std::memory_order_acquire)) {
+        if (first * kWaveChunk > stop_bound.load(std::memory_order_acquire)) {
           break;
         }
         const std::size_t last = std::min(chunks, first + round);

@@ -30,7 +30,8 @@ std::string RenderEngineStats(const EngineStats& stats) {
   std::string out = "## Engine statistics\n\n";
   out += StrCat("Interned template classes: ", stats.interned_classes, " (",
                 stats.intern_requests, " requests, ", stats.intern_hits,
-                " hits)\n");
+                " hits, ", stats.reduce_runs, " reduce runs, ",
+                stats.canonical_key_runs, " canonical-key runs)\n");
   const MembershipCounters& m = stats.membership;
   out += StrCat("Live membership verdicts: ", m.canonical_witness,
                 " canonical witness, ", m.refutation, " refutation, ",
@@ -43,8 +44,6 @@ std::string RenderEngineStats(const EngineStats& stats) {
                   RenderHitRate(c.hits(), c.requests), " | ", c.runs, " | ",
                   c.entries, " | ", c.evictions, " |\n");
   };
-  row("reduce", stats.reduce);
-  row("canonical-key", stats.canonical_key);
   row("row-embedding", stats.row_embedding);
   row("expansion", stats.expansion);
   row("verdict", stats.verdict);
@@ -108,7 +107,7 @@ Result<std::string> RenderReport(Analyzer& analyzer,
     out += "|---|---|---|---|---|---|\n";
     for (std::size_t i = 0; i < view->size(); ++i) {
       const ViewDefinition& d = view->definitions()[i];
-      Tableau reduced = engine.Reduced(d.tableau);
+      const Tableau& reduced = engine.Representative(engine.Intern(d.tableau));
       VIEWCAP_ASSIGN_OR_RETURN(
           RedundancyResult redundancy,
           IsRedundant(engine, set, i, options.limits));

@@ -20,8 +20,8 @@ HomScratch& KernelScratch() {
 }
 
 // Appends the decimal rendering of `v` without allocating. Fingerprints
-// sit on every memo-cache probe and on the interning fast path, so they
-// cannot afford the ostringstream that StrCat constructs per call.
+// sit on every intern, so they cannot afford the ostringstream that
+// StrCat constructs per call.
 void AppendU32(std::uint32_t v, std::string* out) {
   char buf[10];
   char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
@@ -56,8 +56,6 @@ std::string TableauFingerprint(const Tableau& t) {
 Engine::Engine(const Catalog* catalog, EngineOptions options)
     : catalog_(catalog),
       options_(options),
-      reduce_cache_(options.max_memo_entries),
-      key_cache_(options.max_memo_entries),
       intern_cache_(options.max_memo_entries),
       embed_cache_(options.max_memo_entries),
       expansion_cache_(options.max_memo_entries),
@@ -77,106 +75,62 @@ void Engine::HarvestFilter(const HomScratch& scratch) {
   Add(filter_survivors_, static_cast<std::size_t>(c.survivors));
 }
 
-Tableau Engine::Reduced(const Tableau& t) {
-  Bump(reduce_requests_);
-  const std::string fingerprint = TableauFingerprint(t);
-  bool ran = false;
-  std::optional<Tableau> reduced = reduce_cache_.GetOrCompute(
-      fingerprint,
-      [&]() -> std::optional<Tableau> {
-        // The filter work of the sweep inside Reduce lands in this
-        // engine's stats.
-        HomScratch& scratch = PreparedScratch();
-        Tableau result = Reduce(*catalog_, t, scratch);
-        HarvestFilter(scratch);
-        return result;
-      },
-      &ran);
-  if (ran) {
-    Bump(reduce_runs_);
-    // A core is its own reduction, so pre-seed the result's entry too:
-    // later requests for the already-reduced form (e.g. re-interning a
-    // representative) stay hits.
-    const std::string reduced_fingerprint = TableauFingerprint(*reduced);
-    if (reduced_fingerprint != fingerprint) {
-      reduce_cache_.Put(reduced_fingerprint, *reduced);
-    }
-  }
-  return *std::move(reduced);
-}
-
-std::string Engine::Key(const Tableau& t) {
-  Bump(key_requests_);
-  const std::string fingerprint = TableauFingerprint(t);
-  bool ran = false;
-  std::optional<std::string> key = key_cache_.GetOrCompute(
-      fingerprint,
-      [&]() -> std::optional<std::string> { return CanonicalKey(t); }, &ran);
-  if (ran) Bump(key_runs_);
-  return *std::move(key);
-}
-
 TableauId Engine::Intern(const Tableau& t) {
   Bump(intern_requests_);
-  // Fast path: an exact form interned before maps straight to its id —
-  // the warm-engine steady state, where the same query templates are
-  // re-interned on every request. Skips the reduce / canonical-key /
-  // lowering kernels entirely. The request
-  // counters of the skipped kernels are still bumped: a completed prior
-  // intern of this exact form left their cache entries warm, so the
-  // calls this path replaces would have been pure hits — bumping keeps
-  // the counter flow identical whichever path answers, which the
-  // differential tests rely on at every thread count.
+  // A form interned before — as an input or as the core of one — maps
+  // straight to its id: the warm-engine steady state, where the same
+  // templates are re-interned on every request, runs no kernel.
   const std::string fingerprint = TableauFingerprint(t);
   if (std::optional<TableauId> memo = intern_cache_.Get(fingerprint)) {
-    Bump(reduce_requests_);
-    Bump(key_requests_);
     Bump(intern_hits_);
     return *memo;
   }
-  // The expensive kernels run before any interning lock is taken: they are
-  // memoized behind their own stripe locks.
-  Tableau reduced = Reduced(t);
-  const std::string key = Key(reduced);
+  // The kernels run before any interning lock is taken.
+  HomScratch& scratch = PreparedScratch();
+  Tableau core = Reduce(*catalog_, t, scratch);
+  HarvestFilter(scratch);
+  Bump(reduce_runs_);
+  const std::string core_fingerprint = TableauFingerprint(core);
+  if (core_fingerprint != fingerprint) {
+    if (std::optional<TableauId> memo = intern_cache_.Get(core_fingerprint)) {
+      Bump(intern_hits_);
+      intern_cache_.Put(fingerprint, *memo);
+      return *memo;
+    }
+  }
+  std::string key = CanonicalKey(core);
+  Bump(key_runs_);
   // The shard lock serializes the whole lookup-or-insert for this key
   // (equivalent templates reduce to isomorphic cores, so they share a
   // canonical key and therefore a shard): two threads interning one class
   // concurrently agree on a single id.
   std::lock_guard<std::mutex> shard_lock(
       intern_shard_mu_[std::hash<std::string>{}(key) % kInternShards]);
-  // Double-check the fingerprint memo under the shard lock: a racing
-  // intern of this exact form publishes its id before releasing the lock
-  // (equal forms share a canonical key and therefore a shard), so losing
-  // the race is detected here deterministically.
-  if (std::optional<TableauId> memo = intern_cache_.Get(fingerprint)) {
-    Bump(intern_hits_);
-    return *memo;
-  }
-  TableauId* slot;
+  std::pair<const std::string, TableauId>* entry = nullptr;
   {
-    // References to mapped values survive unordered_map rehashes, so the
-    // map lock covers only the find-or-insert; the slot itself is owned
-    // by the shard lock already held.
+    // References to map entries survive unordered_map rehashes, so the
+    // map lock covers only the find-or-insert; the entry's id is owned by
+    // the shard lock already held.
     std::lock_guard<std::mutex> map_lock(keys_mu_);
-    slot = &class_of_key_.try_emplace(key, kInvalidTableauId).first->second;
+    entry = &*class_of_key_.try_emplace(std::move(key), kInvalidTableauId)
+                  .first;
   }
-  if (*slot != kInvalidTableauId) {
+  TableauId& slot = entry->second;
+  if (slot != kInvalidTableauId) {
     // Equal exact keys of cores mean one class.
     Bump(intern_hits_);
-    intern_cache_.Put(fingerprint, *slot);
-    return *slot;
-  }
-  // A new class: its SoA lowering is computed once, here, and published
-  // with the representative.
-  SoaTemplate reduced_soa = SoaTemplate::Lower(reduced);
-  {
+  } else {
+    // A new class: its SoA lowering is computed once, here, and published
+    // with the representative.
+    SoaTemplate soa = SoaTemplate::Lower(core);
     std::lock_guard<std::shared_mutex> classes_lock(classes_mu_);
-    *slot = classes_.size();
-    classes_.push_back(std::move(reduced));
-    soa_classes_.push_back(std::move(reduced_soa));
+    slot = classes_.size();
+    classes_.push_back(
+        InternedClass{std::move(core), std::move(soa), &entry->first});
   }
-  intern_cache_.Put(fingerprint, *slot);
-  return *slot;
+  intern_cache_.Put(fingerprint, slot);
+  intern_cache_.Put(core_fingerprint, slot);
+  return slot;
 }
 
 const Tableau& Engine::Representative(TableauId id) const {
@@ -184,13 +138,19 @@ const Tableau& Engine::Representative(TableauId id) const {
   // under push_back and published elements are immutable.
   std::shared_lock<std::shared_mutex> lock(classes_mu_);
   VIEWCAP_CHECK(id < classes_.size());
-  return classes_[id];
+  return classes_[id].representative;
 }
 
 const SoaTemplate& Engine::SoaForm(TableauId id) const {
   std::shared_lock<std::shared_mutex> lock(classes_mu_);
-  VIEWCAP_CHECK(id < soa_classes_.size());
-  return soa_classes_[id];
+  VIEWCAP_CHECK(id < classes_.size());
+  return classes_[id].soa;
+}
+
+const std::string& Engine::ClassKey(TableauId id) const {
+  std::shared_lock<std::shared_mutex> lock(classes_mu_);
+  VIEWCAP_CHECK(id < classes_.size());
+  return *classes_[id].key;
 }
 
 bool Engine::Equivalent(const Tableau& a, const Tableau& b) {
@@ -218,38 +178,6 @@ bool Engine::RowEmbeds(TableauId from, TableauId to) {
       &ran);
   if (ran) Bump(embed_runs_);
   return *embeds;
-}
-
-std::vector<char> Engine::RowEmbedsBatch(const std::vector<TableauId>& froms,
-                                         TableauId to) {
-  std::vector<char> results(froms.size(), 0);
-  if (froms.empty()) return results;
-  // Target-side state is resolved once for the whole wave; per-pair cache
-  // consults and counters stay identical to sequential RowEmbeds calls so
-  // the batch entry is semantically (and statistically) transparent.
-  const Tableau& to_rep = Representative(to);
-  const SoaTemplate& to_soa = SoaForm(to);
-  // One scratch lease covers the wave: filter counters accumulate over
-  // every search of the batch and are harvested once at the end.
-  HomScratch& scratch = PreparedScratch();
-  for (std::size_t i = 0; i < froms.size(); ++i) {
-    const TableauId from = froms[i];
-    Bump(embed_requests_);
-    const std::string key = StrCat(from, "~", to);
-    bool ran = false;
-    std::optional<bool> embeds = embed_cache_.GetOrCompute(
-        key,
-        [&]() -> std::optional<bool> {
-          return Representative(from).universe() == to_rep.universe() &&
-                 SoaSearch(SoaForm(from), to_soa, HomMode::kRowEmbedding,
-                           scratch, nullptr);
-        },
-        &ran);
-    if (ran) Bump(embed_runs_);
-    results[i] = *embeds ? 1 : 0;
-  }
-  HarvestFilter(scratch);
-  return results;
 }
 
 Result<TableauId> Engine::ExpansionClass(TableauId level,
@@ -339,10 +267,6 @@ void Engine::CountMembership(MembershipRoute route) {
 
 EngineStats Engine::ReadStatsOnce() const {
   EngineStats stats;
-  stats.reduce = {Load(reduce_requests_), Load(reduce_runs_),
-                  reduce_cache_.evictions(), reduce_cache_.size()};
-  stats.canonical_key = {Load(key_requests_), Load(key_runs_),
-                         key_cache_.evictions(), key_cache_.size()};
   stats.row_embedding = {Load(embed_requests_), Load(embed_runs_),
                          embed_cache_.evictions(), embed_cache_.size()};
   stats.expansion = {Load(expansion_requests_), Load(expansion_runs_),
@@ -353,6 +277,8 @@ EngineStats Engine::ReadStatsOnce() const {
                      dominance_cache_.evictions(), dominance_cache_.size()};
   stats.intern_requests = Load(intern_requests_);
   stats.intern_hits = Load(intern_hits_);
+  stats.reduce_runs = Load(reduce_runs_);
+  stats.canonical_key_runs = Load(key_runs_);
   {
     std::shared_lock<std::shared_mutex> lock(classes_mu_);
     stats.interned_classes = classes_.size();

@@ -14,22 +14,19 @@
 // from the parallel closure-search workers (DESIGN.md, "Parallel search").
 // The memo caches are striped behind per-shard mutexes, interning's
 // canonical-key lookup-or-insert is atomic under a shard lock, the
-// interning store is guarded by a reader/writer lock (published
-// representatives are immutable and their references stable), and the
-// statistics counters are relaxed atomics. The expensive kernels
-// themselves (reduce, canonicalize, substitute, homomorphism search) run
-// OUTSIDE all locks; concurrent misses on the same key are collapsed to
-// one execution by the caches' compute-once entry point (waiters block
-// until the first caller publishes), so each kernel runs at most once per
-// key and every request counter is a function of the request sequence,
-// not of thread timing. One determinism caveat remains by design: when
-// equivalent-but-distinct templates intern concurrently, the race winner
-// becomes the class representative, and since expansions substitute the
-// representative, the fingerprint sets reaching the reduce/key caches
-// (their run/entry counts, not any verdict or witness) can differ between
-// parallel runs. The catalog behind the engine is only read; callers
-// minting relations concurrently with searches must provide their own
-// exclusion (the library's drivers mint before searching).
+// interning store is guarded by a reader/writer lock (published classes
+// are immutable and their references stable), and the statistics
+// counters are relaxed atomics. The expensive kernels themselves (reduce,
+// canonicalize, substitute, homomorphism search) run OUTSIDE all locks.
+// The row-embedding and expansion memos collapse concurrent misses on one
+// key to one execution (waiters block until the first caller publishes),
+// so those kernels run at most once per key. Interning does not: racing
+// interns of one new form may both reduce and key it, and the shard lock
+// still yields one id, so at threads > 1 only the reduce and
+// canonical-key run counts can differ between runs — never an id, a
+// verdict or a witness. The catalog behind the engine is only read;
+// callers minting relations concurrently with searches must provide
+// their own exclusion (the library's drivers mint before searching).
 #ifndef VIEWCAP_ENGINE_ENGINE_H_
 #define VIEWCAP_ENGINE_ENGINE_H_
 
@@ -128,10 +125,11 @@ struct MembershipCounters {
 
 /// Engine tuning.
 struct EngineOptions {
-  /// Per-cache entry bound for the memo caches (reduce, canonical key,
-  /// pair predicates, expansions, verdicts). 0 disables memoization (every
-  /// request is a miss and nothing is stored). The interning store is
-  /// exempt: evicting a class would invalidate issued TableauIds.
+  /// Per-cache entry bound for the memo caches (the intern fingerprint
+  /// memo, row embeddings, expansions, membership and dominance
+  /// verdicts). 0 disables memoization (every request is a miss and
+  /// nothing is stored). The interning store is exempt: evicting a class
+  /// would invalidate issued TableauIds.
   std::size_t max_memo_entries = 1 << 16;
 };
 
@@ -155,8 +153,6 @@ struct CacheCounters {
 /// momentarily inconsistent across counters (e.g. requests read before a
 /// racing run is counted).
 struct EngineStats {
-  CacheCounters reduce;         ///< Reduce-to-core kernel (Prop 2.4.4).
-  CacheCounters canonical_key;  ///< CanonicalKey kernel.
   CacheCounters row_embedding;  ///< Row-embedding between interned pairs.
   CacheCounters expansion;      ///< Reduced T -> beta expansion classes.
   CacheCounters verdict;        ///< Membership verdicts per (set, query).
@@ -165,6 +161,11 @@ struct EngineStats {
   std::size_t intern_requests = 0;
   std::size_t intern_hits = 0;       ///< Existing class found.
   std::size_t interned_classes = 0;  ///< Live classes (never evicted).
+  /// Kernel runs behind Intern's fingerprint memo: one Reduce
+  /// (Prop 2.4.4) per memo miss, one CanonicalKey per core form the memo
+  /// has not seen.
+  std::size_t reduce_runs = 0;
+  std::size_t canonical_key_runs = 0;
 
   /// Candidate-filter activity of the kernel searches the engine ran
   /// (`survivors / rows` is the survivor rate the stats renderer
@@ -179,11 +180,9 @@ struct EngineStats {
 };
 
 /// Exact structural fingerprint of a template: equal strings iff equal
-/// universe, rows, tags and symbols (no renaming). Used as the memo key
-/// for the per-template kernels: it costs one pass over the rows, where a
-/// canonical key costs a labeling search (the key cache memoizes exactly
-/// that search), and Reduce answers in the input's own symbols, so its
-/// memo must tell isomorphic inputs apart.
+/// universe, rows, tags and symbols (no renaming). The key of Intern's
+/// memo: it costs one pass over the rows, where finding the class costs
+/// a Reduce and a canonical-labeling search.
 std::string TableauFingerprint(const Tableau& t);
 
 /// Version of the fingerprint/cache-key scheme: TableauFingerprint's
@@ -423,21 +422,14 @@ class Engine {
   const Catalog& catalog() const { return *catalog_; }
   const EngineOptions& options() const { return options_; }
 
-  /// Memoized Reduce (Proposition 2.4.4), keyed by exact fingerprint.
-  /// Returns by value: the backing cache entry may be evicted later.
-  Tableau Reduced(const Tableau& t);
-
-  /// Memoized CanonicalKey, keyed by exact fingerprint.
-  std::string Key(const Tableau& t);
-
   /// Interns `t`'s equivalence class: reduce to the core, take its exact
-  /// canonical key, and look the key up — equal keys are one class. Every
-  /// template is reduced and canonicalized at most once per engine. The
-  /// key lookup-or-insert is atomic under a per-key shard lock, so
-  /// concurrent interns of equivalent templates agree on one id. A
-  /// bounded fingerprint -> id memo short-circuits re-interning an exact
-  /// previously seen form (the warm-engine steady state) without touching
-  /// the reduce / canonical-key / lowering kernels.
+  /// canonical key, and look the key up — equal keys are one class. One
+  /// exact-fingerprint memo fronts the pipeline and maps both the input's
+  /// and its core's fingerprint to the id, so re-interning a form seen
+  /// before (an input, or a representative) runs no kernel, and a new
+  /// input whose core was seen before runs Reduce but not CanonicalKey.
+  /// The key lookup-or-insert is atomic under a per-key shard lock, so
+  /// concurrent interns of equivalent templates agree on one id.
   TableauId Intern(const Tableau& t);
 
   /// The class's stored reduced representative. The reference is stable
@@ -452,6 +444,11 @@ class Engine {
   /// immutable published entries.
   const SoaTemplate& SoaForm(TableauId id) const;
 
+  /// The exact canonical key that names the class (CanonicalKey of its
+  /// representative), as computed when the class was interned. The
+  /// persistent index stores and resolves classes by it.
+  const std::string& ClassKey(TableauId id) const;
+
   /// Mapping equivalence as an id comparison (Proposition 2.4.3 via the
   /// interning invariant).
   bool Equivalent(const Tableau& a, const Tableau& b);
@@ -461,15 +458,6 @@ class Engine {
   /// compose with the two-way homomorphisms linking a class member to its
   /// representative, so the verdict is class-invariant.
   bool RowEmbeds(TableauId from, TableauId to);
-
-  /// Wave form of RowEmbeds: evaluates every (froms[i], to) pair against
-  /// the one shared target, reusing kernel scratch and the target's SoA
-  /// form across the batch. results[i] == RowEmbeds(froms[i], to), with
-  /// identical per-pair cache consults and counter bumps in index order —
-  /// the bulk-submission entry the sharded enumerator and the redundancy
-  /// scans feed.
-  std::vector<char> RowEmbedsBatch(const std::vector<TableauId>& froms,
-                                   TableauId to);
 
   /// The class of the reduced expansion Reduce(Representative(level) ->
   /// beta), memoized by (level, interned classes of beta's assignments on
@@ -560,6 +548,15 @@ class Engine {
   const Catalog* catalog_;
   EngineOptions options_;
 
+  // One interned class: its reduced representative, the representative's
+  // SoA lowering, and its canonical key (the key of its class_of_key_
+  // entry; map nodes never move or die).
+  struct InternedClass {
+    Tableau representative;
+    SoaTemplate soa;
+    const std::string* key;
+  };
+
   // Interning store: never evicted (ids must stay valid). A deque, not a
   // vector, so Representative() references survive later Intern() growth
   // (ExpansionClass interns beta's assignments while holding the level's
@@ -567,8 +564,7 @@ class Engine {
   // only: published elements are immutable and their references stable, so
   // readers hold the lock just for the index operation.
   mutable std::shared_mutex classes_mu_;
-  std::deque<Tableau> classes_;  // id -> reduced representative.
-  std::deque<SoaTemplate> soa_classes_;  // id -> cached SoA lowering.
+  std::deque<InternedClass> classes_;
 
   // Canonical key -> class id. keys_mu_ guards the map's find-or-insert
   // (references to mapped values survive rehashing); each mapped id is
@@ -582,12 +578,10 @@ class Engine {
   std::mutex pool_mu_;
   std::unique_ptr<ThreadPool> pool_;
 
-  StripedMemoCache<Tableau> reduce_cache_;
-  StripedMemoCache<std::string> key_cache_;
-  // Exact-fingerprint -> interned id fast path. Ids are never invalidated
-  // (classes are not evicted), so a bounded LRU over the mapping is safe:
-  // eviction only re-routes a future request through the slow path, which
-  // re-derives the same id.
+  // Exact fingerprint -> interned id, for inputs and their cores. Ids are
+  // never invalidated (classes are not evicted), so a bounded LRU over the
+  // mapping is safe: eviction only re-routes a future request through the
+  // kernels, which re-derive the same id.
   StripedMemoCache<TableauId> intern_cache_;
   StripedMemoCache<bool> embed_cache_;
   StripedMemoCache<TableauId> expansion_cache_;
@@ -595,13 +589,12 @@ class Engine {
   StripedMemoCache<DominanceResult> dominance_cache_;
 
   // requests/runs counters; entries/evictions come from the caches.
-  Counter reduce_requests_{0}, reduce_runs_{0};
-  Counter key_requests_{0}, key_runs_{0};
   Counter embed_requests_{0}, embed_runs_{0};
   Counter expansion_requests_{0}, expansion_runs_{0};
   Counter verdict_requests_{0}, verdict_runs_{0};
   Counter dominance_requests_{0}, dominance_runs_{0};
   Counter intern_requests_{0}, intern_hits_{0};
+  Counter reduce_runs_{0}, key_runs_{0};
   // Candidate-filter counters (EngineStats::filter), harvested from
   // kernel scratch after each search batch.
   Counter filter_invocations_{0}, filter_rows_{0}, filter_survivors_{0};

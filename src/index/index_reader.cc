@@ -350,9 +350,9 @@ std::optional<std::uint32_t> IndexReader::ResolveClass(Engine& engine,
     auto it = class_resolution_.find(id);
     if (it != class_resolution_.end()) return it->second;
   }
-  // The canonical key is computed outside the resolution lock; racing
-  // resolvers of one id compute the same answer.
-  const std::string key = engine.Key(engine.Representative(id));
+  // The search runs outside the resolution lock; racing resolvers of one
+  // id compute the same answer.
+  const std::string& key = engine.ClassKey(id);
   std::optional<std::uint32_t> resolved;
   std::size_t lo = 0, hi = key_count_;
   while (lo < hi) {

@@ -215,7 +215,7 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
   std::map<std::string, std::uint32_t> by_key;
   for (std::size_t ordinal = 0; ordinal < classes.size(); ++ordinal) {
     const bool inserted =
-        by_key.emplace(engine.Key(engine.Representative(classes.id(ordinal))),
+        by_key.emplace(engine.ClassKey(classes.id(ordinal)),
                        static_cast<std::uint32_t>(ordinal))
             .second;
     VIEWCAP_CHECK(inserted);  // Distinct classes have distinct keys.

@@ -534,7 +534,7 @@ class LintRun {
       Result<Tableau> t = BuildTableau(catalog_, universe_, *def.expanded,
                                        pool);
       if (!t.ok()) return;  // Cannot happen for lowered queries; bail out.
-      def.reduced = engine_.Reduced(*t);
+      def.reduced = engine_.Representative(engine_.Intern(*t));
     }
     std::vector<bool> flagged(defs_.size(), false);
     FindEquivalentDefinitions(flagged);

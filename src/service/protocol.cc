@@ -2,6 +2,8 @@
 
 #include <istream>
 #include <ostream>
+#include <streambuf>
+#include <string>
 #include <utility>
 
 #include "base/strings.h"
@@ -91,6 +93,30 @@ std::string ReplyLine(JsonValue id, const char* key, JsonValue payload) {
   reply.Set("id", std::move(id));
   reply.Set(key, std::move(payload));
   return WriteJson(reply);
+}
+
+// Reads the next '\n'-terminated line of `in` into *line. A line longer
+// than kMaxRequestLineBytes is consumed through its newline but not kept:
+// *line is left empty and *overlong set. False at end of input when no
+// byte was read.
+bool ReadRequestLine(std::istream& in, std::string* line, bool* overlong) {
+  line->clear();
+  *overlong = false;
+  std::streambuf& buf = *in.rdbuf();
+  bool any = false;
+  for (int c = buf.sbumpc(); c != std::char_traits<char>::eof();
+       c = buf.sbumpc()) {
+    any = true;
+    if (c == '\n') return true;
+    if (*overlong) continue;
+    if (line->size() == kMaxRequestLineBytes) {
+      *overlong = true;
+      std::string().swap(*line);
+      continue;
+    }
+    line->push_back(static_cast<char>(c));
+  }
+  return any;
 }
 
 }  // namespace
@@ -302,8 +328,6 @@ JsonValue RequestToJson(const Request& request) {
 
 JsonValue EngineStatsToJson(const EngineStats& stats) {
   JsonValue obj = JsonValue::Object();
-  obj.Set("reduce", CountersToJson(stats.reduce));
-  obj.Set("canonical_key", CountersToJson(stats.canonical_key));
   obj.Set("row_embedding", CountersToJson(stats.row_embedding));
   obj.Set("expansion", CountersToJson(stats.expansion));
   obj.Set("verdict", CountersToJson(stats.verdict));
@@ -314,6 +338,10 @@ JsonValue EngineStatsToJson(const EngineStats& stats) {
           JsonValue::Number(static_cast<double>(stats.intern_hits)));
   obj.Set("interned_classes",
           JsonValue::Number(static_cast<double>(stats.interned_classes)));
+  obj.Set("reduce_runs",
+          JsonValue::Number(static_cast<double>(stats.reduce_runs)));
+  obj.Set("canonical_key_runs",
+          JsonValue::Number(static_cast<double>(stats.canonical_key_runs)));
   JsonValue membership = JsonValue::Object();
   membership.Set("canonical_witness",
                  JsonValue::Number(
@@ -469,9 +497,23 @@ bool ServeSession(Dispatcher& dispatcher, ServerStats* server,
     server->sessions.fetch_add(1, std::memory_order_relaxed);
   }
   std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    LineOutcome outcome = HandleRequestLine(dispatcher, server, line);
+  bool overlong = false;
+  while (ReadRequestLine(in, &line, &overlong)) {
+    LineOutcome outcome;
+    if (overlong) {
+      if (server != nullptr) {
+        server->requests.fetch_add(1, std::memory_order_relaxed);
+      }
+      outcome.reply = ReplyLine(
+          JsonValue::Null(), "error",
+          ErrorToJson(Status::InvalidArgument(
+              StrCat("request line longer than ", kMaxRequestLineBytes,
+                     " bytes"))));
+    } else if (line.find_first_not_of(" \t\r") == std::string::npos) {
+      continue;
+    } else {
+      outcome = HandleRequestLine(dispatcher, server, line);
+    }
     out << outcome.reply << '\n';
     out.flush();
     if (outcome.shutdown) return true;

@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -84,8 +85,15 @@ struct LineOutcome {
 LineOutcome HandleRequestLine(Dispatcher& dispatcher, ServerStats* server,
                               std::string_view line);
 
+/// Longest request line a session accepts, in bytes: about 1,000x the
+/// largest example program.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 /// Serves one session: reads request lines from `in` until EOF or a
-/// shutdown request, writing one reply line (flushed) per request.
+/// shutdown request, writing one reply line (flushed) per request. A
+/// line longer than kMaxRequestLineBytes gets an InvalidArgument error
+/// reply (id null) and is skipped through its newline, so one client
+/// cannot grow the daemon's memory without bound; the session goes on.
 /// Returns true when the client requested server shutdown.
 bool ServeSession(Dispatcher& dispatcher, ServerStats* server,
                   std::istream& in, std::ostream& out);

@@ -155,12 +155,9 @@ Result<std::optional<ExprPtr>> TryCanonicalWitness(
   const Tableau& reduced_query = engine.Representative(query_id);
   std::vector<ExprPtr> parts;
   AttrSet joined_trs;
-  // All members are probed against the one query: a single wave instead
-  // of per-member RowEmbeds calls (same verdicts and counters).
-  const std::vector<char> embeds = engine.RowEmbedsBatch(member_ids, query_id);
   for (std::size_t i = 0; i < set.members().size(); ++i) {
     const QuerySet::Member& m = set.members()[i];
-    if (embeds[i] != 0) {
+    if (engine.RowEmbeds(member_ids[i], query_id)) {
       parts.push_back(Expr::Rel(catalog, m.handle));
       joined_trs = joined_trs.Union(m.query.Trs());
     }
@@ -386,46 +383,6 @@ Result<MembershipResult> CapacityOracle::Contains(const Tableau& query) const {
       eval.row_embeds = engine_->RowEmbeds(*expansion, query_id);
       eval.witness = *expansion == query_id;
       return eval;
-    };
-    // Wave form of the same pipeline: the chunk's candidates are built,
-    // interned and expanded individually, then all their row-embedding
-    // probes against the one query run as a single engine wave
-    // (RowEmbedsBatch) — per-candidate results identical to `evaluate`.
-    visitor.evaluate_wave = [&](const std::vector<ExprPtr>& level,
-                                std::size_t begin, std::size_t end)
-        -> std::vector<CandidateEval> {
-      std::vector<CandidateEval> evals(end - begin);
-      std::vector<TableauId> expansions;
-      std::vector<std::size_t> pending;
-      for (std::size_t i = begin; i < end; ++i) {
-        CandidateEval& eval = evals[i - begin];
-        SymbolPool pool;
-        Result<Tableau> level_tableau =
-            BuildTableau(*catalog_, set_.universe(), *level[i], pool);
-        if (!level_tableau.ok()) {
-          eval.failure = level_tableau.status();
-          eval.build_failed = true;
-          continue;
-        }
-        eval.level_id = engine_->Intern(*level_tableau);
-        Result<TableauId> expansion =
-            engine_->ExpansionClass(eval.level_id, beta);
-        if (!expansion.ok()) {
-          eval.failure = expansion.status();
-          eval.expansion_failed = true;
-          continue;
-        }
-        eval.expansion = *expansion;
-        eval.witness = *expansion == query_id;
-        expansions.push_back(*expansion);
-        pending.push_back(i - begin);
-      }
-      const std::vector<char> embeds =
-          engine_->RowEmbedsBatch(expansions, query_id);
-      for (std::size_t p = 0; p < pending.size(); ++p) {
-        evals[pending[p]].row_embeds = embeds[p] != 0;
-      }
-      return evals;
     };
     // First-witness cancellation: failures and witnesses are what the
     // serial search stops on, so their smallest enumeration index bounds

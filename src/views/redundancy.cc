@@ -6,6 +6,7 @@
 
 #include "base/check.h"
 #include "base/thread_pool.h"
+#include "tableau/reduce.h"
 
 namespace viewcap {
 
@@ -33,24 +34,6 @@ std::vector<Result<RedundancyResult>> ScanAllMembers(Engine& engine,
   return results;
 }
 
-/// Bulk cache warm-up for a leave-one-out scan: every oracle the scan
-/// builds probes (member j -> member i) row embeddings — in the
-/// canonical-witness fast path and as the level-1 candidates'
-/// completeness prune. Submitting all pairs up front as one engine wave
-/// per target (Engine::RowEmbedsBatch) amortizes the kernel's
-/// target-side state and leaves the scans' probes cache hits. Runs for
-/// every thread count — the waves are semantically transparent, so scan
-/// verdicts (and engine counters) stay thread-invariant.
-void WarmEmbeddingWaves(Engine& engine, const QuerySet& set) {
-  if (set.size() <= 1) return;
-  std::vector<TableauId> ids;
-  ids.reserve(set.size());
-  for (const QuerySet::Member& m : set.members()) {
-    ids.push_back(engine.Intern(m.query));
-  }
-  for (TableauId to : ids) engine.RowEmbedsBatch(ids, to);
-}
-
 }  // namespace
 
 Result<RedundancyResult> IsRedundant(Engine& engine, const QuerySet& set,
@@ -74,7 +57,6 @@ Result<RedundancyResult> IsRedundant(Engine& engine, const QuerySet& set,
 Result<bool> IsNonredundantSet(Engine& engine, const QuerySet& set,
                                SearchLimits limits, bool* inconclusive) {
   if (inconclusive != nullptr) *inconclusive = false;
-  WarmEmbeddingWaves(engine, set);
   const std::size_t threads = ThreadPool::DecideThreads(limits.threads);
   if (threads == 1 || set.size() <= 1) {
     for (std::size_t i = 0; i < set.size(); ++i) {
@@ -138,7 +120,6 @@ Result<NonredundantViewResult> MakeNonredundant(Engine& engine,
     changed = false;
     View current = view.Restrict(result.kept);
     QuerySet set = QuerySet::FromView(current);
-    WarmEmbeddingWaves(engine, set);
     if (threads == 1) {
       for (std::size_t pos = 0; pos < result.kept.size(); ++pos) {
         VIEWCAP_ASSIGN_OR_RETURN(RedundancyResult r,
@@ -177,7 +158,7 @@ Result<NonredundantViewResult> MakeNonredundant(Engine& engine,
 std::size_t NonredundantSizeBound(Engine& engine, const QuerySet& set) {
   std::size_t bound = 0;
   for (const QuerySet::Member& m : set.members()) {
-    bound += engine.Reduced(m.query).size();
+    bound += Reduce(engine.catalog(), m.query).size();
   }
   return bound;
 }

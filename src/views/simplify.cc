@@ -122,7 +122,8 @@ Result<SimplifyOutcome> Simplify(Engine& engine, Catalog* catalog,
   std::vector<WorkingQuery> working;
   working.reserve(view.size());
   for (const ViewDefinition& d : view.definitions()) {
-    working.push_back(WorkingQuery{d.query, engine.Reduced(d.tableau)});
+    working.push_back(
+        WorkingQuery{d.query, engine.Representative(engine.Intern(d.tableau))});
   }
 
   // Replacement loop; terminates because replacing a query by proper
@@ -175,8 +176,9 @@ Result<SimplifyOutcome> Simplify(Engine& engine, Catalog* catalog,
       VIEWCAP_ASSIGN_OR_RETURN(
           Tableau projected,
           ProjectTableau(*catalog, victim.tableau, x, pool));
-      working.push_back(WorkingQuery{Expr::MustProject(x, victim.expr),
-                                     engine.Reduced(projected)});
+      working.push_back(
+          WorkingQuery{Expr::MustProject(x, victim.expr),
+                       engine.Representative(engine.Intern(projected))});
     }
   }
   if (outcome.rounds >= kMaxRounds) {

@@ -10,6 +10,7 @@
 #include "base/thread_pool.h"
 #include "engine/engine.h"
 #include "tableau/build.h"
+#include "tableau/canonical.h"
 #include "tableau/homomorphism.h"
 #include "tests/test_util.h"
 #include "views/capacity.h"
@@ -80,16 +81,9 @@ TEST_F(EngineTest, StatsCountersGoldenForTinyWorkload) {
   EXPECT_EQ(s.intern_requests, 2u);
   EXPECT_EQ(s.intern_hits, 1u);
   EXPECT_EQ(s.interned_classes, 1u);
-  // The repeat is answered by the fingerprint -> id fast path; the
-  // skipped reduce / canonical-key calls still count as (hit) requests
-  // for counter parity with the slow path.
-  EXPECT_EQ(s.reduce.requests, 2u);
-  EXPECT_EQ(s.reduce.runs, 1u);
-  EXPECT_EQ(s.reduce.hits(), 1u);
-  EXPECT_EQ(s.canonical_key.requests, 2u);
-  EXPECT_EQ(s.canonical_key.runs, 1u);
-  EXPECT_EQ(s.reduce.entries, 1u);
-  EXPECT_EQ(s.reduce.evictions, 0u);
+  // The repeat is answered by the fingerprint memo: the kernels ran once.
+  EXPECT_EQ(s.reduce_runs, 1u);
+  EXPECT_EQ(s.canonical_key_runs, 1u);
   // Interning alone settles no membership question.
   EXPECT_EQ(s.membership, MembershipCounters{});
 }
@@ -98,36 +92,63 @@ TEST_F(EngineTest, MemoCachesEvictUnderBoundedCapacity) {
   EngineOptions options;
   options.max_memo_entries = 2;
   Engine engine(&catalog_, options);
-  // Four distinct single-row templates: each Reduced is a miss and a Put,
-  // so the 2-entry LRU must evict the two oldest.
-  engine.Reduced(T("pi{A}(r)"));
-  engine.Reduced(T("pi{B}(r)"));
-  engine.Reduced(T("pi{C}(r)"));
-  engine.Reduced(T("r"));
+  const TableauId a = engine.Intern(T("pi{A}(r)"));
+  const TableauId b = engine.Intern(T("pi{B}(r)"));
+  const TableauId c = engine.Intern(T("pi{C}(r)"));
+  // Four distinct class pairs: each RowEmbeds is a miss and a Put, so the
+  // 2-entry LRU must evict the two oldest.
+  engine.RowEmbeds(a, b);
+  engine.RowEmbeds(a, c);
+  engine.RowEmbeds(b, c);
+  engine.RowEmbeds(c, a);
   EngineStats s = engine.StatsSnapshot();
-  EXPECT_EQ(s.reduce.runs, 4u);
-  EXPECT_EQ(s.reduce.entries, 2u);
-  EXPECT_EQ(s.reduce.evictions, 2u);
-  // The first template was evicted, so asking again re-runs the kernel.
-  engine.Reduced(T("pi{A}(r)"));
-  EXPECT_EQ(engine.StatsSnapshot().reduce.runs, 5u);
+  EXPECT_EQ(s.row_embedding.runs, 4u);
+  EXPECT_EQ(s.row_embedding.entries, 2u);
+  EXPECT_EQ(s.row_embedding.evictions, 2u);
+  // The first pair was evicted, so asking again re-runs the kernel.
+  engine.RowEmbeds(a, b);
+  EXPECT_EQ(engine.StatsSnapshot().row_embedding.runs, 5u);
 }
 
 TEST_F(EngineTest, ZeroCapacityDisablesMemoCaches) {
   EngineOptions options;
   options.max_memo_entries = 0;
   Engine engine(&catalog_, options);
-  engine.Reduced(T("pi{A}(r)"));
-  engine.Reduced(T("pi{A}(r)"));
+  const TableauId a = engine.Intern(T("pi{A}(r)"));
+  const TableauId b = engine.Intern(T("pi{A,B}(r)"));
+  engine.RowEmbeds(a, b);
+  engine.RowEmbeds(a, b);
   EngineStats s = engine.StatsSnapshot();
   // Capacity 0 means no caching, not unbounded: every request is a miss
   // and nothing is ever stored or evicted.
-  EXPECT_EQ(s.reduce.requests, 2u);
-  EXPECT_EQ(s.reduce.runs, 2u);
-  EXPECT_EQ(s.reduce.entries, 0u);
-  EXPECT_EQ(s.reduce.evictions, 0u);
-  // The interning store is exempt from the bound and keeps working.
+  EXPECT_EQ(s.row_embedding.requests, 2u);
+  EXPECT_EQ(s.row_embedding.runs, 2u);
+  EXPECT_EQ(s.row_embedding.entries, 0u);
+  EXPECT_EQ(s.row_embedding.evictions, 0u);
+  // The interning store is exempt from the bound and keeps working; with
+  // its fingerprint memo off, every intern runs the kernels.
   EXPECT_EQ(engine.Intern(T("pi{B}(r)")), engine.Intern(T("pi{B}(r)")));
+  EXPECT_EQ(engine.StatsSnapshot().reduce_runs, 4u);
+}
+
+TEST_F(EngineTest, RepresentativesReinternWithoutKernelRuns) {
+  Engine engine(&catalog_);
+  // Two of the inputs are not cores, so their classes' representatives
+  // are forms the memo saw only as cores.
+  for (const char* text : {"pi{A,B}(r * r)", "pi{A,B}(r) * pi{B,C}(r)",
+                           "pi{A}(r) * pi{C}(r)", "r * r"}) {
+    engine.Intern(T(text));
+  }
+  const EngineStats before = engine.StatsSnapshot();
+  ASSERT_EQ(before.interned_classes, 4u);
+  for (TableauId id = 0; id < before.interned_classes; ++id) {
+    EXPECT_EQ(engine.Intern(engine.Representative(id)), id);
+    EXPECT_EQ(engine.ClassKey(id), CanonicalKey(engine.Representative(id)));
+  }
+  const EngineStats after = engine.StatsSnapshot();
+  EXPECT_EQ(after.reduce_runs, before.reduce_runs);
+  EXPECT_EQ(after.canonical_key_runs, before.canonical_key_runs);
+  EXPECT_EQ(after.intern_hits, before.intern_hits + before.interned_classes);
 }
 
 TEST_F(EngineTest, ExpansionClassSurvivesInterningFreshAssignments) {
@@ -201,8 +222,8 @@ TEST_F(EngineTest, RepeatedWorkloadSavesAtLeastAThirdOfKernelRuns) {
   View w = MakeProjectionsView("W", "u1", "u2");
   // Same equivalence question twice. The second pass uses a candidate cap
   // that differs only cosmetically (never binding here), so its verdict
-  // keys miss and the full closure search re-runs — against warm reduce,
-  // canonical-key, pair-predicate and expansion caches.
+  // keys miss and the full closure search re-runs — against the warm
+  // intern, pair-predicate and expansion memos.
   SearchLimits first_limits;
   EquivalenceResult first = Unwrap(AreEquivalent(engine, v, w, first_limits));
   SearchLimits second_limits;
@@ -225,15 +246,12 @@ TEST_F(EngineTest, RepeatedWorkloadSavesAtLeastAThirdOfKernelRuns) {
   // each, the second pass under different limits), two hits on the third.
   EXPECT_EQ(s.dominance.requests, 6u);
   EXPECT_EQ(s.dominance.runs, 4u);
-  // The acceptance bar: at least 1.5x fewer Reduce and CanonicalKey kernel
-  // executions than a cache-less engine would have performed.
-  EXPECT_GE(static_cast<double>(s.reduce.requests),
-            1.5 * static_cast<double>(s.reduce.runs))
-      << s.reduce.requests << " requests vs " << s.reduce.runs << " runs";
-  EXPECT_GE(static_cast<double>(s.canonical_key.requests),
-            1.5 * static_cast<double>(s.canonical_key.runs))
-      << s.canonical_key.requests << " requests vs "
-      << s.canonical_key.runs << " runs";
+  // The acceptance bar: at least 1.5x fewer Reduce kernel executions than
+  // a memo-less engine, which reduces on every intern request.
+  EXPECT_GE(static_cast<double>(s.intern_requests),
+            1.5 * static_cast<double>(s.reduce_runs))
+      << s.intern_requests << " interns vs " << s.reduce_runs
+      << " reduce runs";
   // Every membership verdict request above was a genuine miss: the
   // repeat passes were absorbed one level up (dominance hits asserted
   // above) before reaching the membership cache.

@@ -514,29 +514,6 @@ TEST_F(EngineDifferentialTest, EngineMatchesLegacyOracleAtEveryThreadCount) {
   }
 }
 
-TEST_F(EngineDifferentialTest, RowEmbedsBatchMatchesScalarAndCounters) {
-  Engine engine(&catalog_);
-  std::vector<TableauId> ids;
-  for (const char* text :
-       {"pi{A,B}(r)", "pi{B,C}(r)", "pi{A}(r)", "pi{A,B}(r) * pi{B,C}(r)"}) {
-    ids.push_back(engine.Intern(
-        MustBuildTableau(catalog_, u_, *MustParse(catalog_, text))));
-  }
-  const TableauId target = ids.back();
-  const std::vector<char> batch = engine.RowEmbedsBatch(ids, target);
-  const EngineStats after_batch = engine.StatsSnapshot();
-  ASSERT_EQ(batch.size(), ids.size());
-  // Scalar replay: verdicts identical, and every probe now hits the cache
-  // (same keys), so runs stay flat while requests double.
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(batch[i] != 0, engine.RowEmbeds(ids[i], target)) << i;
-  }
-  const EngineStats after_scalar = engine.StatsSnapshot();
-  EXPECT_EQ(after_batch.row_embedding.requests, ids.size());
-  EXPECT_EQ(after_scalar.row_embedding.requests, 2 * ids.size());
-  EXPECT_EQ(after_scalar.row_embedding.runs, after_batch.row_embedding.runs);
-}
-
 TEST_F(EngineDifferentialTest, SoaFormIsCachedPerClass) {
   Engine engine(&catalog_);
   const Tableau t =

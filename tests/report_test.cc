@@ -86,7 +86,8 @@ TEST(RenderHitRateTest, ZeroDenominatorPrintsNotApplicable) {
 
 TEST(RenderEngineStatsTest, FreshEngineRendersNoBogusRates) {
   const std::string out = RenderEngineStats(EngineStats{});
-  EXPECT_NE(out.find("| reduce | 0 | 0 | n/a |"), std::string::npos) << out;
+  EXPECT_NE(out.find("| row-embedding | 0 | 0 | n/a |"), std::string::npos)
+      << out;
   EXPECT_EQ(out.find("0.0%"), std::string::npos) << out;
   EXPECT_NE(out.find("Live membership verdicts: 0 canonical witness, "
                      "0 refutation, 0 enumeration\n"),
@@ -121,11 +122,14 @@ TEST(RenderEngineStatsTest, MembershipRoutesRenderOnOneLine) {
   stats.interned_classes = 3;
   stats.intern_requests = 5;
   stats.intern_hits = 2;
+  stats.reduce_runs = 3;
+  stats.canonical_key_runs = 3;
   stats.membership = {4, 2, 1};
   const std::string out = RenderEngineStats(stats);
   EXPECT_EQ(out.substr(0, out.find("| cache |")),
             "## Engine statistics\n\n"
-            "Interned template classes: 3 (5 requests, 2 hits)\n"
+            "Interned template classes: 3 (5 requests, 2 hits, 3 reduce runs, "
+            "3 canonical-key runs)\n"
             "Live membership verdicts: 4 canonical witness, 2 refutation, "
             "1 enumeration\n\n");
 }

@@ -459,6 +459,19 @@ TEST(ServiceProtocolTest, StatsJsonCountsMembershipRoutes) {
       << json;
 }
 
+TEST(ServiceProtocolTest, StatsJsonCarriesInternRunCounts) {
+  EngineStats stats;
+  stats.reduce_runs = 7;
+  stats.canonical_key_runs = 5;
+  const std::string json = WriteJson(EngineStatsToJson(stats));
+  EXPECT_NE(json.find("\"reduce_runs\":7,\"canonical_key_runs\":5"),
+            std::string::npos)
+      << json;
+  // Neither kernel has a memo, so neither has a cache row.
+  EXPECT_EQ(json.find("\"reduce\":"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"canonical_key\":"), std::string::npos) << json;
+}
+
 TEST(ServiceProtocolTest, MethodAliasesResolve) {
   JsonValue params = Unwrap(ParseJson(R"js({"view":"W","query":"r"})js"));
   EXPECT_EQ(Unwrap(RequestFromJson("membership", &params)).kind,
@@ -516,6 +529,29 @@ TEST(ServiceProtocolTest, SessionServesRequestsAndShutdown) {
   EXPECT_NE(replies[5].find("\"shutting_down\":true"), std::string::npos);
   EXPECT_EQ(stats.requests.load(), 6u);
   EXPECT_EQ(stats.sessions.load(), 1u);
+}
+
+TEST(ServiceProtocolTest, SessionAnswersOverlongLineAndContinues) {
+  Workspace workspace;
+  Dispatcher dispatcher(&workspace);
+  ServerStats stats;
+  // A line of exactly the limit is served; one byte more is refused, and
+  // the session goes on with the next line.
+  std::string at_limit = R"({"id":1,"method":"ping","pad":")";
+  at_limit += std::string(kMaxRequestLineBytes - at_limit.size() - 2, 'x');
+  at_limit += "\"}";
+  ASSERT_EQ(at_limit.size(), kMaxRequestLineBytes);
+  std::istringstream in(at_limit + "\n" +
+                        std::string(kMaxRequestLineBytes + 1, 'x') + "\n" +
+                        R"({"id":3,"method":"ping"})" + "\n");
+  std::ostringstream out;
+  EXPECT_FALSE(ServeSession(dispatcher, &stats, in, out));
+  EXPECT_EQ(out.str(),
+            "{\"id\":1,\"result\":{\"ok\":true}}\n"
+            "{\"id\":null,\"error\":{\"code\":\"InvalidArgument\","
+            "\"message\":\"request line longer than 1048576 bytes\"}}\n"
+            "{\"id\":3,\"result\":{\"ok\":true}}\n");
+  EXPECT_EQ(stats.requests.load(), 3u);
 }
 
 // --- CLI vs protocol differential ---------------------------------------

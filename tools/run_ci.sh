@@ -47,7 +47,8 @@ cmake --build --preset ci-tsan
 # closure search (thread pool, sharded enumeration, engine sharing,
 # capacity/equivalence/redundancy drivers) plus the kernel-vs-legacy
 # homomorphism differential suite (hom_kernel_test), which drives the
-# engine at several thread counts. The asan/ubsan presets run the full
+# engine at several thread counts, the ParallelFor index build and lint
+# at threads 8 (three named tests). The asan/ubsan presets run the full
 # suite, so the differential tests run under all three sanitizers.
 echo "== test (ci-tsan, parallel subset) =="
 ctest --preset ci-tsan
