@@ -75,61 +75,6 @@ void BM_MembershipNegative(benchmark::State& state) {
 }
 BENCHMARK(BM_MembershipNegative)->DenseRange(2, 5)->Unit(benchmark::kMillisecond);
 
-// The sharded search: the same exhaustive non-member workload across
-// thread counts (arg 0 = links, arg 1 = SearchLimits::threads). The
-// threads = 1 row is the serial driver and doubles as the parallel
-// series' baseline; on a multi-core machine the wall-clock ratio between
-// it and the threads = 4 row is the tentpole speedup figure.
-void BM_MembershipNegativeParallel(benchmark::State& state) {
-  const std::size_t links = static_cast<std::size_t>(state.range(0));
-  SearchLimits limits;
-  limits.threads = static_cast<std::size_t>(state.range(1));
-  auto schema = MakeChain(links);
-  View view = MakeJoinView(*schema, "jn");
-  ExprPtr query = Expr::Rel(schema->catalog, schema->relations[0]);
-  std::size_t tried = 0;
-  for (auto _ : state) {
-    Engine engine(&schema->catalog);
-    CapacityOracle oracle(&engine, view, limits);
-    MembershipResult m = oracle.Contains(query).value();
-    if (m.member) state.SkipWithError("expected non-member");
-    tried = m.candidates_tried;
-    benchmark::DoNotOptimize(m);
-  }
-  state.counters["candidates"] = static_cast<double>(tried);
-  state.counters["threads"] = static_cast<double>(limits.threads);
-}
-BENCHMARK(BM_MembershipNegativeParallel)
-    ->Args({4, 1})->Args({4, 2})->Args({4, 4})->Args({4, 8})
-    ->Args({5, 1})->Args({5, 2})->Args({5, 4})->Args({5, 8})
-    ->Unit(benchmark::kMillisecond);
-
-// Warm variant: one shared engine across iterations, so the memo caches
-// (not the verdict cache: each iteration asks under a distinct limits key
-// only on the first pass) absorb the kernel work and the series isolates
-// the sharding overhead itself.
-void BM_MembershipNegativeParallelWarmEngine(benchmark::State& state) {
-  const std::size_t links = static_cast<std::size_t>(state.range(0));
-  SearchLimits limits;
-  limits.threads = static_cast<std::size_t>(state.range(1));
-  auto schema = MakeChain(links);
-  View view = MakeJoinView(*schema, "jn");
-  Engine engine(&schema->catalog);
-  CapacityOracle oracle(&engine, view, limits);
-  ExprPtr query = Expr::Rel(schema->catalog, schema->relations[0]);
-  for (auto _ : state) {
-    MembershipResult m = oracle.Contains(query).value();
-    if (m.member) state.SkipWithError("expected non-member");
-    benchmark::DoNotOptimize(m);
-  }
-  EngineStats stats = engine.StatsSnapshot();
-  state.counters["verdict_hits"] = static_cast<double>(stats.verdict.hits());
-  state.counters["threads"] = static_cast<double>(limits.threads);
-}
-BENCHMARK(BM_MembershipNegativeParallelWarmEngine)
-    ->Args({4, 1})->Args({4, 2})->Args({4, 4})->Args({4, 8})
-    ->Unit(benchmark::kMillisecond);
-
 // Budget sensitivity: the same positive query under growing extra-leaf
 // slack (the Lemma 2.4.8 bound plus headroom) — cost of over-budgeting.
 void BM_MembershipExtraLeaves(benchmark::State& state) {

@@ -70,48 +70,4 @@ ExprEnumerator::Stats ExprEnumerator::Enumerate(std::size_t max_leaves,
   return stats;
 }
 
-bool ExprEnumerator::GenerateLevel(
-    std::size_t s, const std::vector<std::vector<ExprPtr>>& kept,
-    std::size_t cap, std::vector<ExprPtr>* out) const {
-  bool truncated = false;
-  // Emits `candidate` itself plus every nontrivial projection of it, in
-  // the same order as the serial offer(); returns false on truncation.
-  auto emit = [&](const ExprPtr& candidate) -> bool {
-    if (out->size() >= cap) {
-      truncated = true;
-      return false;
-    }
-    out->push_back(candidate);
-    for (const AttrSet& x : candidate->trs().NonemptyProperSubsets()) {
-      if (out->size() >= cap) {
-        truncated = true;
-        return false;
-      }
-      out->push_back(Expr::MustProject(x, candidate));
-    }
-    return true;
-  };
-
-  if (s == 1) {
-    for (RelId rel : names_) {
-      if (!emit(Expr::Rel(*catalog_, rel))) return truncated;
-    }
-    return truncated;
-  }
-  for (std::size_t a = 1; a * 2 <= s; ++a) {
-    const std::size_t b = s - a;
-    for (std::size_t i = 0; i < kept[a].size(); ++i) {
-      // When both operands come from the same level, joins are
-      // commutative: only emit unordered pairs.
-      const std::size_t j_begin = (a == b) ? i : 0;
-      for (std::size_t j = j_begin; j < kept[b].size(); ++j) {
-        if (!emit(Expr::MustJoin2(kept[a][i], kept[b][j]))) {
-          return truncated;
-        }
-      }
-    }
-  }
-  return truncated;
-}
-
 }  // namespace viewcap

@@ -1,5 +1,5 @@
-// A small fixed-size worker pool for the parallel closure searches (see
-// DESIGN.md, "Parallel search").
+// A small fixed-size worker pool for running independent membership
+// questions at once (see DESIGN.md, "Parallel search").
 //
 // The pool runs plain void() tasks on a set of long-lived worker threads.
 // Its central primitive is Run(parties, fn): the CALLER participates as

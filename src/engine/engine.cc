@@ -251,12 +251,12 @@ void Engine::StoreDominance(const std::string& key,
 }
 
 ThreadPool* Engine::SharedPool(std::size_t total_threads) {
-  const std::size_t workers = total_threads > 0 ? total_threads - 1 : 0;
+  if (total_threads <= 1) return nullptr;
   std::lock_guard<std::mutex> lock(pool_mu_);
   if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(workers);
+    pool_ = std::make_unique<ThreadPool>(total_threads - 1);
   } else {
-    pool_->EnsureWorkers(workers);
+    pool_->EnsureWorkers(total_threads - 1);
   }
   return pool_.get();
 }

@@ -11,7 +11,10 @@
 // through an EngineStats snapshot.
 //
 // Thread-safety contract: every Engine method may be called concurrently
-// from the parallel closure-search workers (DESIGN.md, "Parallel search").
+// from the threads of a call that answers independent membership
+// questions at once — equivalence's two dominance directions, a
+// redundancy scan's leave-one-out tests, an index build's views (DESIGN.md,
+// "Parallel search"); each membership search itself is serial.
 // The memo caches are striped behind per-shard mutexes, interning's
 // canonical-key lookup-or-insert is atomic under a shard lock, the
 // interning store is guarded by a reader/writer lock (published classes
@@ -22,9 +25,9 @@
 // key to one execution (waiters block until the first caller publishes),
 // so those kernels run at most once per key. Interning does not: racing
 // interns of one new form may both reduce and key it, and the shard lock
-// still yields one id, so at threads > 1 only the reduce and
-// canonical-key run counts can differ between runs — never an id, a
-// verdict or a witness. The catalog behind the engine is only read;
+// still yields one id, so for the same questions asked concurrently only
+// the reduce and canonical-key run counts can differ between runs — never
+// an id, a verdict or a witness. The catalog behind the engine is only read;
 // callers minting relations concurrently with searches must provide
 // their own exclusion (the library's drivers mint before searching).
 #ifndef VIEWCAP_ENGINE_ENGINE_H_
@@ -488,11 +491,13 @@ class Engine {
   /// (EngineStats::membership).
   void CountMembership(MembershipRoute route);
 
-  /// The worker pool shared by every parallel search running over this
-  /// engine, sized for `total_threads` concurrent threads (the pool holds
-  /// total_threads - 1 workers; the searching thread itself is the last
-  /// party). Created lazily on first use — serial runs never spawn a
-  /// thread — and grown, never shrunk, by later calls asking for more.
+  /// The worker pool shared by every call over this engine that runs
+  /// independent questions at once, sized for `total_threads` concurrent
+  /// threads (the pool holds total_threads - 1 workers; the calling
+  /// thread itself is the last party). Null for total_threads <= 1, which
+  /// ParallelFor runs as a plain loop, so a serial call never builds a
+  /// pool. Created lazily and grown, never shrunk, by later calls asking
+  /// for more.
   ThreadPool* SharedPool(std::size_t total_threads);
 
   /// One-call consistent snapshot of the relaxed-atomic statistics: the

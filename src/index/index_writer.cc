@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <fstream>
 #include <map>
 #include <unordered_map>
@@ -84,9 +83,9 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
   std::map<std::string, DominanceResult> dominance;
 
   // One oracle per view, all over the shared engine, under the SERVING
-  // limits (see IndexBuildOptions). A deque: oracles own a mutex and are
-  // immovable.
-  std::deque<CapacityOracle> oracles;
+  // limits (see IndexBuildOptions).
+  std::vector<CapacityOracle> oracles;
+  oracles.reserve(views.size());
   for (const View* view : views) {
     SetRecord record;
     record.members.reserve(view->size());
@@ -102,12 +101,11 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
   // view i's thread enumerates its capacity fragment, computes the
   // membership verdict of each entry, probes every other view's
   // definitions against its oracle and computes its row of the dominance
-  // matrix. Each answer is independently deterministic (verdicts,
-  // witnesses and enumeration order are bit-identical for any thread
-  // count per the parallel-search contract), so running views
-  // concurrently cannot change any stored value — only the racy parts of
-  // the build (ordinal assignment, dedup) matter for byte identity, and
-  // those all happen in the serial Phase B below.
+  // matrix. Each view's questions run serially on one thread and ask only
+  // under that view's handles, so running views concurrently changes no
+  // stored value — only the racy parts of the build (ordinal assignment,
+  // dedup) matter for byte identity, and those all happen in the serial
+  // Phase B below.
   // Duplicate queries across entries re-run Contains instead of being
   // deduped up front (ordinals do not exist yet); the engine's verdict
   // cache makes the repeats warm hits.
@@ -124,8 +122,7 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
   std::vector<ViewSweep> sweeps(views.size());
   const std::size_t threads =
       ThreadPool::DecideThreads(options.limits.threads);
-  ThreadPool* pool =
-      threads > 1 && views.size() > 1 ? engine.SharedPool(threads) : nullptr;
+  ThreadPool* pool = engine.SharedPool(threads);
   ParallelFor(pool, threads, views.size(), [&](std::size_t i) {
     ViewSweep& sweep = sweeps[i];
     const auto run = [&]() -> Status {

@@ -49,9 +49,9 @@
 //                                            views in the program
 //
 // Whole-program rules — the VCL2xx family analyzes the program as one
-// unit on the run's shared memoizing Engine (closure searches are sharded
-// per SearchLimits::threads). VCL203 is graph-only and always runs; the
-// rest are gated like the VCL1xx rules:
+// unit on the run's shared memoizing Engine (its closure searches run
+// serially at every SearchLimits::threads). VCL203 is graph-only and
+// always runs; the rest are gated like the VCL1xx rules:
 //   VCL201 subsumed-view           (warning) every defining query of the
 //                                            view is answerable from the
 //                                            remaining program: Cap(V) is

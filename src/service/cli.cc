@@ -138,7 +138,8 @@ Result<CliInvocation> ParseCommandLine(
       return UsageError(StrCat("unknown index subcommand '", sub, "'"));
     }
     if (inv.index_action != IndexAction::kQuery) {
-      // build/info take only the build knobs and the common limits.
+      // build/info take only the build knobs and the common limits; build
+      // also reports its engine's statistics on request.
       for (const Flag& flag : flags) {
         if (flag.name == "--build-leaves" || flag.name == "--build-entries") {
           if (inv.index_action != IndexAction::kBuild) {
@@ -165,6 +166,9 @@ Result<CliInvocation> ParseCommandLine(
                 StrCat("bad candidate budget '", flag.value, "'"));
           }
           req.max_candidates = value;
+        } else if (flag.name == "--engine-stats" &&
+                   inv.index_action == IndexAction::kBuild) {
+          req.engine_stats = true;
         } else {
           return UsageError(StrCat("unknown flag '", flag.name,
                                    "' for 'index ", sub, "'"));

@@ -105,9 +105,10 @@ struct Request {
   std::string query;
   std::string data_text;
   std::size_t max_leaves = 0;
-  /// Per-request closure-search thread count (SearchLimits::threads;
-  /// 1 = serial, 0 = hardware concurrency). Unset keeps the workspace
-  /// default. Verdicts are identical for every value.
+  /// Per-request SearchLimits::threads: how many independent membership
+  /// questions one call may run at once (1 = serial, 0 = hardware
+  /// concurrency). Unset keeps the workspace default. Verdicts are
+  /// identical for every value.
   std::optional<std::size_t> threads;
   /// Per-request candidate budget override; 0 keeps the workspace default.
   std::size_t max_candidates = 0;

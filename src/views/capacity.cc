@@ -4,10 +4,8 @@
 #include <unordered_set>
 
 #include "algebra/enumerator.h"
-#include "algebra/printer.h"
 #include "base/check.h"
 #include "base/strings.h"
-#include "base/thread_pool.h"
 #include "tableau/build.h"
 #include "tableau/counterexample.h"
 #include "tableau/evaluate.h"
@@ -127,19 +125,6 @@ std::string CapacityOracle::VerdictKey(TableauId query_id) const {
 }
 
 namespace {
-
-// Worker-side evaluation of one enumeration candidate for the sharded
-// Contains search: everything the serial visit computes, minus the dedup
-// and verdict bookkeeping (which commit replays in enumeration order).
-struct CandidateEval {
-  Status failure = Status::OK();
-  bool build_failed = false;
-  bool expansion_failed = false;
-  TableauId level_id = kInvalidTableauId;
-  TableauId expansion = kInvalidTableauId;
-  bool row_embeds = false;
-  bool witness = false;
-};
 
 // Fast path: the canonical single-copy witness. If Q is equivalent to
 // pi_TRS(Q)(join of one copy of every member whose query row-embeds into
@@ -300,125 +285,52 @@ Result<MembershipResult> CapacityOracle::Contains(const Tableau& query) const {
   }
   // Per-call dedup registries; the expensive kernels behind them (reduce,
   // canonicalize, substitute, embed) are memoized in the engine and so
-  // shared across calls and oracles. Touched only by the serial visit /
-  // commit path, never by parallel evaluation.
+  // shared across calls and oracles.
   std::unordered_set<TableauId> seen_levels;
   std::unordered_set<TableauId> seen_expansions;
   ExprEnumerator enumerator(catalog_, set_.Handles());
   Status failure = Status::OK();
-  ExprEnumerator::Stats stats;
-
-  const std::size_t threads = ThreadPool::DecideThreads(limits_.threads);
-  if (threads == 1) {
-    stats = enumerator.Enumerate(
-        result.leaf_budget, limits_.max_candidates,
-        [&](const ExprPtr& candidate) -> ExprEnumerator::Verdict {
-          SymbolPool pool;
-          Result<Tableau> level =
-              BuildTableau(*catalog_, set_.universe(), *candidate, pool);
-          if (!level.ok()) {
-            failure = level.status();
-            return ExprEnumerator::Verdict::kStop;
-          }
-          // Cheap pre-substitution dedup: candidates whose handle-level
-          // templates coincide up to equivalence (commuted joins etc.)
-          // expand to equivalent templates (Lemma 2.3.1).
-          const TableauId level_id = engine_->Intern(*level);
-          if (!seen_levels.insert(level_id).second) {
-            return ExprEnumerator::Verdict::kSkip;
-          }
-          Result<TableauId> expansion =
-              engine_->ExpansionClass(level_id, beta);
-          if (!expansion.ok()) {
-            failure = expansion.status();
-            return ExprEnumerator::Verdict::kStop;
-          }
-          // Completeness-preserving prune: a witness's expansion maps
-          // homomorphically onto the query, and every subexpression's
-          // expansion therefore row-embeds into it (see HasRowEmbedding).
-          // Candidates failing the embedding can appear in no witness.
-          // (Checked on the class representatives: embeddings compose with
-          // the core homomorphisms, so the verdict is class-invariant.)
-          if (!engine_->RowEmbeds(*expansion, query_id)) {
-            return ExprEnumerator::Verdict::kSkip;
-          }
-          if (!seen_expansions.insert(*expansion).second) {
-            return ExprEnumerator::Verdict::kSkip;
-          }
-          if (*expansion == query_id) {
-            result.member = true;
-            result.witness = candidate;
-            return ExprEnumerator::Verdict::kStop;
-          }
-          return ExprEnumerator::Verdict::kKeep;
-        });
-  } else {
-    // Sharded search: workers run the pure per-candidate pipeline (build
-    // -> intern -> expand -> embed; every kernel engine-memoized and
-    // thread-safe), the commit replays the serial verdict order so the
-    // result — verdict, witness, statistics — is bit-identical to the
-    // threads == 1 search. A duplicate-level candidate's expansion is
-    // computed speculatively here (the serial path skips it), but the
-    // expansion cache makes that a lookup, not a kernel run.
-    ExprEnumerator::ShardedVisitor<CandidateEval> visitor;
-    visitor.evaluate = [&](const ExprPtr& candidate) -> CandidateEval {
-      CandidateEval eval;
-      SymbolPool pool;
-      Result<Tableau> level =
-          BuildTableau(*catalog_, set_.universe(), *candidate, pool);
-      if (!level.ok()) {
-        eval.failure = level.status();
-        eval.build_failed = true;
-        return eval;
-      }
-      eval.level_id = engine_->Intern(*level);
-      Result<TableauId> expansion =
-          engine_->ExpansionClass(eval.level_id, beta);
-      if (!expansion.ok()) {
-        eval.failure = expansion.status();
-        eval.expansion_failed = true;
-        return eval;
-      }
-      eval.expansion = *expansion;
-      eval.row_embeds = engine_->RowEmbeds(*expansion, query_id);
-      eval.witness = *expansion == query_id;
-      return eval;
-    };
-    // First-witness cancellation: failures and witnesses are what the
-    // serial search stops on, so their smallest enumeration index bounds
-    // the useful work.
-    visitor.is_stop = [](const CandidateEval& eval) {
-      return eval.build_failed || eval.expansion_failed || eval.witness;
-    };
-    visitor.commit = [&](const ExprPtr& candidate,
-                         const CandidateEval& eval)
-        -> ExprEnumerator::Verdict {
-      if (eval.build_failed) {
-        failure = eval.failure;
-        return ExprEnumerator::Verdict::kStop;
-      }
-      if (!seen_levels.insert(eval.level_id).second) {
-        return ExprEnumerator::Verdict::kSkip;
-      }
-      if (eval.expansion_failed) {
-        failure = eval.failure;
-        return ExprEnumerator::Verdict::kStop;
-      }
-      if (!eval.row_embeds) return ExprEnumerator::Verdict::kSkip;
-      if (!seen_expansions.insert(eval.expansion).second) {
-        return ExprEnumerator::Verdict::kSkip;
-      }
-      if (eval.witness) {
-        result.member = true;
-        result.witness = candidate;
-        return ExprEnumerator::Verdict::kStop;
-      }
-      return ExprEnumerator::Verdict::kKeep;
-    };
-    stats = enumerator.EnumerateSharded(
-        result.leaf_budget, limits_.max_candidates, threads,
-        engine_->SharedPool(threads), visitor);
-  }
+  const ExprEnumerator::Stats stats = enumerator.Enumerate(
+      result.leaf_budget, limits_.max_candidates,
+      [&](const ExprPtr& candidate) -> ExprEnumerator::Verdict {
+        SymbolPool pool;
+        Result<Tableau> level =
+            BuildTableau(*catalog_, set_.universe(), *candidate, pool);
+        if (!level.ok()) {
+          failure = level.status();
+          return ExprEnumerator::Verdict::kStop;
+        }
+        // Cheap pre-substitution dedup: candidates whose handle-level
+        // templates coincide up to equivalence (commuted joins etc.)
+        // expand to equivalent templates (Lemma 2.3.1).
+        const TableauId level_id = engine_->Intern(*level);
+        if (!seen_levels.insert(level_id).second) {
+          return ExprEnumerator::Verdict::kSkip;
+        }
+        Result<TableauId> expansion = engine_->ExpansionClass(level_id, beta);
+        if (!expansion.ok()) {
+          failure = expansion.status();
+          return ExprEnumerator::Verdict::kStop;
+        }
+        // Completeness-preserving prune: a witness's expansion maps
+        // homomorphically onto the query, and every subexpression's
+        // expansion therefore row-embeds into it (see HasRowEmbedding).
+        // Candidates failing the embedding can appear in no witness.
+        // (Checked on the class representatives: embeddings compose with
+        // the core homomorphisms, so the verdict is class-invariant.)
+        if (!engine_->RowEmbeds(*expansion, query_id)) {
+          return ExprEnumerator::Verdict::kSkip;
+        }
+        if (!seen_expansions.insert(*expansion).second) {
+          return ExprEnumerator::Verdict::kSkip;
+        }
+        if (*expansion == query_id) {
+          result.member = true;
+          result.witness = candidate;
+          return ExprEnumerator::Verdict::kStop;
+        }
+        return ExprEnumerator::Verdict::kKeep;
+      });
 
   VIEWCAP_RETURN_NOT_OK(failure);
   result.candidates_tried = stats.generated;
@@ -436,20 +348,9 @@ Result<MembershipResult> CapacityOracle::Contains(const ExprPtr& query) const {
   if (query == nullptr) {
     return Status::InvalidArgument("query expression is null");
   }
-  const std::string memo_key = ToString(query, *catalog_);
-  {
-    std::lock_guard<std::mutex> lock(expr_memo_mu_);
-    auto it = expr_memo_.find(memo_key);
-    if (it != expr_memo_.end()) return it->second;
-  }
   VIEWCAP_ASSIGN_OR_RETURN(
       Tableau tableau, BuildTableau(*catalog_, set_.universe(), *query));
-  VIEWCAP_ASSIGN_OR_RETURN(MembershipResult result, Contains(tableau));
-  {
-    std::lock_guard<std::mutex> lock(expr_memo_mu_);
-    if (expr_memo_.size() < kExprMemoCap) expr_memo_.emplace(memo_key, result);
-  }
-  return result;
+  return Contains(tableau);
 }
 
 Result<std::vector<ExhibitedConstruction>> CapacityOracle::FindConstructions(

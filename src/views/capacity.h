@@ -2,10 +2,8 @@
 #ifndef VIEWCAP_VIEWS_CAPACITY_H_
 #define VIEWCAP_VIEWS_CAPACITY_H_
 
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/enumerator.h"
@@ -164,19 +162,6 @@ class CapacityOracle {
   std::vector<TableauId> member_ids_;  // Interned member query classes.
   std::vector<RelId> member_handles_;  // Member handles, in member order.
   std::string set_fingerprint_;
-
-  /// Front-side memo for the expression overload of Contains, keyed by
-  /// the query's rendering (unambiguous, so equal text means an equal
-  /// expression tree and hence an identical Algorithm 2.1.1 template).
-  /// The engine's verdict cache already answers warm repeats without a
-  /// search, but still pays a tableau build plus fingerprinting per call;
-  /// this memo makes a repeated query one string render and one probe.
-  /// Size-capped rather than LRU: an oracle is a per-analysis object and
-  /// its distinct-query set is small; a long-lived oracle past the cap
-  /// just falls through to the (still cached) engine path.
-  static constexpr std::size_t kExprMemoCap = 1 << 12;
-  mutable std::mutex expr_memo_mu_;
-  mutable std::unordered_map<std::string, MembershipResult> expr_memo_;
 };
 
 }  // namespace viewcap

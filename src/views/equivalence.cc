@@ -75,26 +75,18 @@ Result<DominanceResult> Dominates(Engine& engine, const View& v,
 
 Result<EquivalenceResult> AreEquivalent(Engine& engine, const View& v,
                                         const View& w, SearchLimits limits) {
-  EquivalenceResult result;
+  // The two dominance directions are independent questions over the
+  // shared engine, run at once when `limits.threads` allows. Both are
+  // always computed in full, so the combined verdict is order-independent.
   const std::size_t threads = ThreadPool::DecideThreads(limits.threads);
-  if (threads == 1) {
-    VIEWCAP_ASSIGN_OR_RETURN(result.v_over_w,
-                             Dominates(engine, v, w, limits));
-    VIEWCAP_ASSIGN_OR_RETURN(result.w_over_v,
-                             Dominates(engine, w, v, limits));
-  } else {
-    // Both dominance directions run concurrently over the shared engine;
-    // each direction's membership searches shard further over the same
-    // pool. Both are always computed in full (as in the serial path), so
-    // the combined verdict is order-independent.
-    std::optional<Result<DominanceResult>> directions[2];
-    ParallelFor(engine.SharedPool(threads), threads, 2, [&](std::size_t i) {
-      directions[i] = i == 0 ? Dominates(engine, v, w, limits)
-                             : Dominates(engine, w, v, limits);
-    });
-    VIEWCAP_ASSIGN_OR_RETURN(result.v_over_w, *std::move(directions[0]));
-    VIEWCAP_ASSIGN_OR_RETURN(result.w_over_v, *std::move(directions[1]));
-  }
+  std::optional<Result<DominanceResult>> directions[2];
+  ParallelFor(engine.SharedPool(threads), threads, 2, [&](std::size_t i) {
+    directions[i] = i == 0 ? Dominates(engine, v, w, limits)
+                           : Dominates(engine, w, v, limits);
+  });
+  EquivalenceResult result;
+  VIEWCAP_ASSIGN_OR_RETURN(result.v_over_w, *std::move(directions[0]));
+  VIEWCAP_ASSIGN_OR_RETURN(result.w_over_v, *std::move(directions[1]));
   result.equivalent =
       result.v_over_w.dominates && result.w_over_v.dominates;
   result.inconclusive =

@@ -1,5 +1,6 @@
 #include "views/redundancy.h"
 
+#include <atomic>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -9,32 +10,6 @@
 #include "tableau/reduce.h"
 
 namespace viewcap {
-
-namespace {
-
-/// Runs the |F| leave-one-out membership tests of a redundancy scan
-/// concurrently (each IsRedundant builds its oracle over the shared,
-/// thread-safe engine) and returns the per-index results for the caller
-/// to replay in index order. QuerySet::Without never mints catalog names,
-/// so the workers only read the catalog, as the engine contract requires.
-std::vector<Result<RedundancyResult>> ScanAllMembers(Engine& engine,
-                                                     const QuerySet& set,
-                                                     SearchLimits limits,
-                                                     std::size_t threads) {
-  std::vector<std::optional<Result<RedundancyResult>>> slots(set.size());
-  ParallelFor(engine.SharedPool(threads), threads, set.size(),
-              [&](std::size_t i) {
-                slots[i] = IsRedundant(engine, set, i, limits);
-              });
-  std::vector<Result<RedundancyResult>> results;
-  results.reserve(slots.size());
-  for (std::optional<Result<RedundancyResult>>& slot : slots) {
-    results.push_back(*std::move(slot));
-  }
-  return results;
-}
-
-}  // namespace
 
 Result<RedundancyResult> IsRedundant(Engine& engine, const QuerySet& set,
                                      std::size_t index, SearchLimits limits) {
@@ -54,35 +29,60 @@ Result<RedundancyResult> IsRedundant(Engine& engine, const QuerySet& set,
   return result;
 }
 
+namespace {
+
+/// One leave-one-out scan, shared by IsNonredundantSet and
+/// MakeNonredundant: the smallest redundant position (set.size() when no
+/// member is redundant), and whether a test before it hit its budget.
+struct LeaveOneOutScan {
+  std::size_t redundant = 0;
+  bool inconclusive = false;
+};
+
+/// Runs up to `limits.threads` leave-one-out tests at once over the
+/// shared engine, claiming positions in ascending order and skipping every
+/// position past the smallest redundant (or failed) one found so far. So
+/// threads = 1 runs exactly the serial loop's tests, and at any thread
+/// count every position the index-order fold reads has been tested.
+/// QuerySet::Without never mints catalog names, so the tests only read the
+/// catalog, as the engine contract requires.
+Result<LeaveOneOutScan> ScanLeaveOneOut(Engine& engine, const QuerySet& set,
+                                        SearchLimits limits) {
+  const std::size_t threads = ThreadPool::DecideThreads(limits.threads);
+  std::vector<std::optional<Result<RedundancyResult>>> tests(set.size());
+  std::atomic<std::size_t> stop{set.size()};
+  ParallelFor(engine.SharedPool(threads), threads, set.size(),
+              [&](std::size_t pos) {
+                if (pos > stop.load()) return;
+                Result<RedundancyResult> test =
+                    IsRedundant(engine, set, pos, limits);
+                if (!test.ok() || test->redundant) {
+                  std::size_t bound = stop.load();
+                  while (pos < bound &&
+                         !stop.compare_exchange_weak(bound, pos)) {
+                  }
+                }
+                tests[pos] = std::move(test);
+              });
+  LeaveOneOutScan scan;
+  for (; scan.redundant < set.size(); ++scan.redundant) {
+    VIEWCAP_ASSIGN_OR_RETURN(RedundancyResult r,
+                             *std::move(tests[scan.redundant]));
+    if (r.redundant) break;
+    if (r.membership.budget_exhausted) scan.inconclusive = true;
+  }
+  return scan;
+}
+
+}  // namespace
+
 Result<bool> IsNonredundantSet(Engine& engine, const QuerySet& set,
                                SearchLimits limits, bool* inconclusive) {
   if (inconclusive != nullptr) *inconclusive = false;
-  const std::size_t threads = ThreadPool::DecideThreads(limits.threads);
-  if (threads == 1 || set.size() <= 1) {
-    for (std::size_t i = 0; i < set.size(); ++i) {
-      VIEWCAP_ASSIGN_OR_RETURN(RedundancyResult r,
-                               IsRedundant(engine, set, i, limits));
-      if (r.redundant) return false;
-      if (r.membership.budget_exhausted && inconclusive != nullptr) {
-        *inconclusive = true;
-      }
-    }
-    return true;
-  }
-  // All leave-one-out oracles run concurrently; the verdict fold below
-  // replays the serial loop in index order, so the returned verdict and
-  // the inconclusive flag match threads == 1 exactly (members past the
-  // first redundant one are evaluated speculatively but not observed).
-  std::vector<Result<RedundancyResult>> scans =
-      ScanAllMembers(engine, set, limits, threads);
-  for (Result<RedundancyResult>& scan : scans) {
-    VIEWCAP_ASSIGN_OR_RETURN(RedundancyResult r, std::move(scan));
-    if (r.redundant) return false;
-    if (r.membership.budget_exhausted && inconclusive != nullptr) {
-      *inconclusive = true;
-    }
-  }
-  return true;
+  VIEWCAP_ASSIGN_OR_RETURN(LeaveOneOutScan scan,
+                           ScanLeaveOneOut(engine, set, limits));
+  if (inconclusive != nullptr) *inconclusive = scan.inconclusive;
+  return scan.redundant == set.size();
 }
 
 Result<NonredundantViewResult> MakeNonredundant(Engine& engine,
@@ -111,45 +111,19 @@ Result<NonredundantViewResult> MakeNonredundant(Engine& engine,
     result.kept = std::move(unique);
   }
 
-  // Pass 2: greedily drop redundant members until a fixpoint. Dropping one
-  // redundant member keeps the closure intact, so re-testing against the
-  // shrunken set stays correct.
-  const std::size_t threads = ThreadPool::DecideThreads(limits.threads);
-  bool changed = true;
-  while (changed && result.kept.size() > 1) {
-    changed = false;
-    View current = view.Restrict(result.kept);
-    QuerySet set = QuerySet::FromView(current);
-    if (threads == 1) {
-      for (std::size_t pos = 0; pos < result.kept.size(); ++pos) {
-        VIEWCAP_ASSIGN_OR_RETURN(RedundancyResult r,
-                                 IsRedundant(engine, set, pos, limits));
-        if (r.membership.budget_exhausted) result.inconclusive = true;
-        if (r.redundant) {
-          result.kept.erase(result.kept.begin() +
-                            static_cast<std::ptrdiff_t>(pos));
-          changed = true;
-          break;
-        }
-      }
-    } else {
-      // Concurrent leave-one-out scan; replaying in index order keeps the
-      // victim choice — the smallest redundant position — and the
-      // inconclusive flag identical to the serial loop, which is what
-      // makes the final kept set thread-count-deterministic.
-      std::vector<Result<RedundancyResult>> scans =
-          ScanAllMembers(engine, set, limits, threads);
-      for (std::size_t pos = 0; pos < scans.size(); ++pos) {
-        VIEWCAP_ASSIGN_OR_RETURN(RedundancyResult r, std::move(scans[pos]));
-        if (r.membership.budget_exhausted) result.inconclusive = true;
-        if (r.redundant) {
-          result.kept.erase(result.kept.begin() +
-                            static_cast<std::ptrdiff_t>(pos));
-          changed = true;
-          break;
-        }
-      }
-    }
+  // Pass 2: greedily drop the smallest redundant position until a
+  // fixpoint. Dropping one redundant member keeps the closure intact, so
+  // re-testing against the shrunken set stays correct.
+  while (result.kept.size() > 1) {
+    VIEWCAP_ASSIGN_OR_RETURN(
+        LeaveOneOutScan scan,
+        ScanLeaveOneOut(engine,
+                        QuerySet::FromView(view.Restrict(result.kept)),
+                        limits));
+    if (scan.inconclusive) result.inconclusive = true;
+    if (scan.redundant == result.kept.size()) break;
+    result.kept.erase(result.kept.begin() +
+                      static_cast<std::ptrdiff_t>(scan.redundant));
   }
   result.view = view.Restrict(result.kept);
   return result;

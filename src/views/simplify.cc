@@ -49,12 +49,10 @@ Result<std::vector<QuerySet::Member>> MaximalProperProjectionMembers(
   return ProjectionMembers(catalog, t, MaximalProperSubsets(t.Trs()));
 }
 
-// Note on parallelism: simplification's per-member loops (here and in
-// Simplify) stay serial even when limits.threads > 1, because IsSimple
-// mints fresh "__proj" handles in the catalog and the catalog is not
-// synchronized; the expensive part — the oracle's membership search —
-// shards across the engine's worker pool inside Contains, after all
-// minting for that call is done.
+// Note on parallelism: simplification runs serially at every
+// limits.threads. Its per-member loops (here and in Simplify) mint fresh
+// "__proj" handles in the catalog, which is not synchronized, and each
+// membership search is itself serial.
 Result<SimplicityResult> IsSimple(Engine& engine, Catalog* catalog,
                                   const QuerySet& set, std::size_t index,
                                   SearchLimits limits) {

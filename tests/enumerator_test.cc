@@ -8,7 +8,6 @@
 
 #include "algebra/enumerator.h"
 #include "algebra/printer.h"
-#include "base/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace viewcap {
@@ -116,142 +115,20 @@ TEST_F(EnumeratorTest, JoinsCombineKeptBlocksOnly) {
   EXPECT_FALSE(unique.count("s * r"));
 }
 
-// --- EnumerateSharded: the parallel driver must be observationally
-// identical to Enumerate for every thread count. ---
-
-struct ShardEval {
-  bool witness = false;
-};
-
-/// A sharded visitor equivalent to the serial `visit` used in the parity
-/// tests: keeps bare names, skips projections, stops on `stop_at`.
-ExprEnumerator::ShardedVisitor<ShardEval> MakeVisitor(
-    const Catalog& catalog, const std::string& stop_at,
-    std::vector<std::string>* committed) {
-  ExprEnumerator::ShardedVisitor<ShardEval> visitor;
-  visitor.evaluate = [&catalog, stop_at](const ExprPtr& e) {
-    return ShardEval{ToString(*e, catalog) == stop_at};
-  };
-  visitor.is_stop = [](const ShardEval& eval) { return eval.witness; };
-  visitor.commit = [&catalog, committed](const ExprPtr& e,
-                                         const ShardEval& eval) {
-    if (committed != nullptr) committed->push_back(ToString(*e, catalog));
-    if (eval.witness) return ExprEnumerator::Verdict::kStop;
-    return e->kind() == Expr::Kind::kRelName ? ExprEnumerator::Verdict::kKeep
-                                             : ExprEnumerator::Verdict::kSkip;
-  };
-  return visitor;
-}
-
-TEST_F(EnumeratorTest, ShardedMatchesSerialForEveryThreadCount) {
+TEST_F(EnumeratorTest, StopInsideTheCandidateCapIsNotExhaustion) {
+  // The cap of four cuts level 1 short of its six candidates, but the
+  // stop candidate "s" is the fourth: the search stops on it before the
+  // cap ever turns a candidate away, so it must not report an exhausted
+  // budget.
   ExprEnumerator enumerator(&catalog_, {r_, s_});
-  // Serial reference: same verdicts as MakeVisitor, no stop candidate.
-  std::vector<std::string> serial_order;
-  ExprEnumerator::Stats serial = enumerator.Enumerate(
-      3, 100000, [&](const ExprPtr& e) {
-        serial_order.push_back(ToString(*e, catalog_));
-        return e->kind() == Expr::Kind::kRelName
-                   ? ExprEnumerator::Verdict::kKeep
-                   : ExprEnumerator::Verdict::kSkip;
-      });
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{8}}) {
-    ThreadPool pool(threads > 0 ? threads - 1 : 0);
-    std::vector<std::string> order;
-    ExprEnumerator::Stats stats = enumerator.EnumerateSharded(
-        3, 100000, threads, &pool,
-        MakeVisitor(catalog_, "<<none>>", &order));
-    EXPECT_EQ(stats.generated, serial.generated) << threads;
-    EXPECT_EQ(stats.kept, serial.kept) << threads;
-    EXPECT_EQ(stats.stopped, serial.stopped) << threads;
-    EXPECT_EQ(stats.exhausted_budget, serial.exhausted_budget) << threads;
-    // The committed candidate sequence is bit-identical, not just counted.
-    EXPECT_EQ(order, serial_order) << threads;
-  }
-}
-
-TEST_F(EnumeratorTest, ShardedStopsAtSmallestStopIndex) {
-  ExprEnumerator enumerator(&catalog_, {r_, s_});
-  // "r * s" appears at level 2; everything after it must never commit.
-  std::vector<std::string> serial_order;
-  ExprEnumerator::Stats serial = enumerator.Enumerate(
-      3, 100000, [&](const ExprPtr& e) {
-        serial_order.push_back(ToString(*e, catalog_));
-        if (serial_order.back() == "r * s") {
-          return ExprEnumerator::Verdict::kStop;
-        }
-        return e->kind() == Expr::Kind::kRelName
-                   ? ExprEnumerator::Verdict::kKeep
-                   : ExprEnumerator::Verdict::kSkip;
-      });
-  ASSERT_TRUE(serial.stopped);
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{8}}) {
-    ThreadPool pool(threads > 0 ? threads - 1 : 0);
-    std::vector<std::string> order;
-    ExprEnumerator::Stats stats = enumerator.EnumerateSharded(
-        3, 100000, threads, &pool, MakeVisitor(catalog_, "r * s", &order));
-    EXPECT_TRUE(stats.stopped) << threads;
-    EXPECT_EQ(stats.generated, serial.generated) << threads;
-    EXPECT_EQ(order, serial_order) << threads;
-  }
-}
-
-TEST_F(EnumeratorTest, ShardedCancelledSearchDoesNotReportExhaustedBudget) {
-  // Regression: the candidate cap truncates the level-1 wave at four of
-  // its six candidates (a tentative budget exhaustion), but the stop
-  // candidate "s" commits inside the truncated prefix — exactly like the
-  // serial search, which stops before ever noticing the cap. The
-  // cancelled search must not report exhausted_budget.
-  ExprEnumerator enumerator(&catalog_, {r_, s_});
-  ExprEnumerator::Stats serial = enumerator.Enumerate(
+  ExprEnumerator::Stats stats = enumerator.Enumerate(
       1, 4, [&](const ExprPtr& e) {
         return ToString(*e, catalog_) == "s" ? ExprEnumerator::Verdict::kStop
                                              : ExprEnumerator::Verdict::kKeep;
       });
-  ASSERT_TRUE(serial.stopped);
-  ASSERT_FALSE(serial.exhausted_budget);
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{8}}) {
-    ThreadPool pool(threads > 0 ? threads - 1 : 0);
-    ExprEnumerator::ShardedVisitor<ShardEval> visitor;
-    visitor.evaluate = [this](const ExprPtr& e) {
-      return ShardEval{ToString(*e, catalog_) == "s"};
-    };
-    visitor.is_stop = [](const ShardEval& eval) { return eval.witness; };
-    visitor.commit = [](const ExprPtr&, const ShardEval& eval) {
-      return eval.witness ? ExprEnumerator::Verdict::kStop
-                          : ExprEnumerator::Verdict::kKeep;
-    };
-    ExprEnumerator::Stats stats =
-        enumerator.EnumerateSharded(1, 4, threads, &pool, visitor);
-    EXPECT_TRUE(stats.stopped) << threads;
-    EXPECT_FALSE(stats.exhausted_budget) << threads;
-    EXPECT_EQ(stats.generated, serial.generated) << threads;
-  }
-}
-
-TEST_F(EnumeratorTest, ShardedReportsExhaustedBudgetWithoutStop) {
-  ExprEnumerator enumerator(&catalog_, {r_, s_});
-  ExprEnumerator::Stats serial = enumerator.Enumerate(
-      4, 10, [&](const ExprPtr&) { return ExprEnumerator::Verdict::kKeep; });
-  ASSERT_TRUE(serial.exhausted_budget);
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{8}}) {
-    ThreadPool pool(threads > 0 ? threads - 1 : 0);
-    ExprEnumerator::ShardedVisitor<ShardEval> visitor;
-    visitor.evaluate = [](const ExprPtr&) { return ShardEval{}; };
-    visitor.is_stop = [](const ShardEval&) { return false; };
-    visitor.commit = [](const ExprPtr&, const ShardEval&) {
-      return ExprEnumerator::Verdict::kKeep;
-    };
-    ExprEnumerator::Stats stats =
-        enumerator.EnumerateSharded(4, 10, threads, &pool, visitor);
-    EXPECT_TRUE(stats.exhausted_budget) << threads;
-    EXPECT_FALSE(stats.stopped) << threads;
-    EXPECT_EQ(stats.generated, serial.generated) << threads;
-    EXPECT_EQ(stats.kept, serial.kept) << threads;
-  }
+  EXPECT_TRUE(stats.stopped);
+  EXPECT_FALSE(stats.exhausted_budget);
+  EXPECT_EQ(stats.generated, 4u);
 }
 
 TEST_F(EnumeratorTest, ZeroBudgetYieldsNothing) {

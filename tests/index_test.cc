@@ -113,19 +113,39 @@ TEST(IndexBuildTest, BuildIsByteDeterministicAcrossThreadCounts) {
   // The per-view saturation and cross-view sweeps run in parallel over
   // views when the serving limits allow; the output bytes must not
   // depend on the thread count (ordinals, dedup, and exemplar
-  // serialization happen in a serial phase — see BuildIndexBytes).
+  // serialization happen in a serial phase — see BuildIndexBytes). Each
+  // view's questions run serially on one thread, so a parallel build does
+  // exactly the serial build's work: no membership search evaluates a
+  // candidate the serial search would not. Build leaves 3 still store
+  // verdicts the enumeration alone decides.
   std::string serial;
+  EngineStats serial_stats;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     Analyzer analyzer;
     VIEWCAP_EXPECT_OK(analyzer.Load(kProgram));
     IndexBuildOptions options;
+    options.max_leaves = 3;
     options.limits.threads = threads;
     const std::string bytes = Unwrap(BuildIndexBytes(analyzer, options));
+    const EngineStats stats = analyzer.engine().StatsSnapshot();
     if (threads == 1u) {
       serial = bytes;
+      serial_stats = stats;
       EXPECT_FALSE(serial.empty());
+      EXPECT_GT(stats.membership.enumeration, 0u);
     } else {
       EXPECT_EQ(bytes, serial) << "threads=" << threads;
+      EXPECT_EQ(stats.intern_requests, serial_stats.intern_requests)
+          << "threads=" << threads;
+      EXPECT_EQ(stats.interned_classes, serial_stats.interned_classes)
+          << "threads=" << threads;
+      EXPECT_EQ(stats.expansion.requests, serial_stats.expansion.requests)
+          << "threads=" << threads;
+      EXPECT_EQ(stats.row_embedding.requests,
+                serial_stats.row_embedding.requests)
+          << "threads=" << threads;
+      EXPECT_EQ(stats.membership, serial_stats.membership)
+          << "threads=" << threads;
     }
   }
 }

@@ -4,9 +4,9 @@
 // 1. Renaming invariance — findings (codes and their counts) are identical
 //    under a consistent renaming of relations, attributes, views and
 //    definitions: every rule reasons about structure, never about names.
-// 2. Thread invariance — the sharded closure searches (SearchLimits::
-//    threads) are a pure performance knob: the full diagnostic list
-//    (codes, spans, messages, fix-its) is bit-identical for any count.
+// 2. Thread invariance — SearchLimits::threads is a pure performance
+//    knob: the full diagnostic list (codes, spans, messages, fix-its) is
+//    bit-identical for any count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,10 +111,10 @@ TEST(LintMetamorphicTest, FindingsAreInvariantUnderRenaming) {
 TEST(LintMetamorphicTest, FindingsAreInvariantUnderThreadCount) {
   LintOptions serial;
   serial.limits.threads = 1;
-  LintOptions sharded;
-  sharded.limits.threads = 8;
+  LintOptions threaded;
+  threaded.limits.threads = 8;
   const LintResult a = Linter(serial).Run(kProgram);
-  const LintResult b = Linter(sharded).Run(kProgram);
+  const LintResult b = Linter(threaded).Run(kProgram);
   ASSERT_FALSE(a.diagnostics.empty());
   ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size());
   for (std::size_t i = 0; i < a.diagnostics.size(); ++i) {
@@ -130,15 +130,15 @@ TEST(LintMetamorphicTest, FindingsAreInvariantUnderThreadCount) {
 }
 
 TEST(LintMetamorphicTest, ThreadCountInvarianceUnderTightBudgets) {
-  // Budget exhaustion (VCL204 territory) is where sharding could plausibly
-  // diverge; verdicts must still be deterministic.
+  // Budget exhaustion (VCL204 territory) is where a thread count could
+  // plausibly change a finding; verdicts must still be deterministic.
   LintOptions serial;
   serial.limits.threads = 1;
   serial.limits.max_candidates = 64;
-  LintOptions sharded = serial;
-  sharded.limits.threads = 8;
+  LintOptions threaded = serial;
+  threaded.limits.threads = 8;
   const LintResult a = Linter(serial).Run(kProgram);
-  const LintResult b = Linter(sharded).Run(kProgram);
+  const LintResult b = Linter(threaded).Run(kProgram);
   EXPECT_EQ(CodeCounts(a), CodeCounts(b));
 }
 

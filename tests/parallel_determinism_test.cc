@@ -1,7 +1,8 @@
-// Thread-count determinism of the parallel closure searches: membership,
-// equivalence and redundancy must report the same verdicts, witnesses and
-// search statistics for every SearchLimits::threads value (see
-// ExprEnumerator::EnumerateSharded for the argument why).
+// Thread-count determinism: equivalence runs its two dominance directions
+// and redundancy its leave-one-out tests at once when
+// SearchLimits::threads allows, and must report the same verdicts,
+// witnesses and victims for every value; a single membership search is
+// serial at any value and must report the same search statistics.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -74,7 +75,7 @@ class ParallelDeterminismTest : public ::testing::Test {
 TEST_F(ParallelDeterminismTest, MemberFoundByEnumerationIsIdentical) {
   // pi{A}(r) x pi{C}(r) is a member, but not via the canonical single-copy
   // witness (the canonical join correlates on B; the cross product does
-  // not), so the sharded enumeration must actually find the witness.
+  // not), so the enumeration must actually find the witness.
   const std::string query = "pi{A}(r) * pi{C}(r)";
   SearchLimits limits;
   limits.threads = 1;
@@ -97,8 +98,8 @@ TEST_F(ParallelDeterminismTest, MemberFoundByEnumerationIsIdentical) {
 
 TEST_F(ParallelDeterminismTest, NonMemberVerdictIsIdentical) {
   // The 2-leaf member of MemberFoundByEnumerationIsIdentical under a leaf
-  // cap of 1: the refutation cannot settle it, so the sharded search runs
-  // its whole 1-leaf space (6 candidates) to natural exhaustion and
+  // cap of 1: the refutation cannot settle it, so the search runs its
+  // whole 1-leaf space (6 candidates) to natural exhaustion and
   // reports a negative, inconclusive because the cap sits below the
   // reduced query's 2 rows.
   const std::string query = "pi{A}(r) * pi{C}(r)";

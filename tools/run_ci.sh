@@ -43,13 +43,14 @@ cmake --preset ci-tsan
 echo "== build (ci-tsan) =="
 cmake --build --preset ci-tsan
 
-# The ci-tsan test preset filters to the suites that exercise the parallel
-# closure search (thread pool, sharded enumeration, engine sharing,
-# capacity/equivalence/redundancy drivers) plus the kernel-vs-legacy
-# homomorphism differential suite (hom_kernel_test), which drives the
-# engine at several thread counts, the ParallelFor index build and lint
-# at threads 8 (three named tests). The asan/ubsan presets run the full
-# suite, so the differential tests run under all three sanitizers.
+# The ci-tsan test preset filters to the suites that run independent
+# membership questions at once over one engine (thread pool, engine
+# sharing, capacity/equivalence/redundancy calls) plus the
+# kernel-vs-legacy homomorphism differential suite (hom_kernel_test),
+# which drives the engine at several thread counts, the ParallelFor index
+# build and lint at threads 8 (three named tests). The asan/ubsan presets
+# run the full suite, so the differential tests run under all three
+# sanitizers.
 echo "== test (ci-tsan, parallel subset) =="
 ctest --preset ci-tsan
 

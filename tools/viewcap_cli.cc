@@ -29,12 +29,14 @@
 //   lint                          static analysis: structural and
 //                                 paper-backed semantic diagnostics
 //
-// --engine-stats (any analysis command) appends the run's memoizing-engine
-// cache statistics after the command output.
+// --engine-stats (any analysis command, and index build) appends the
+// run's memoizing-engine cache statistics after the command output.
 //
-// --threads=N (any analysis command, and lint) shards the closure searches
-// across N threads (0 = one per hardware thread). Verdicts and witnesses
-// are identical for every N; the default 1 is the exact legacy serial path.
+// --threads=N runs up to N independent membership questions at once
+// (0 = one per hardware thread): the two directions of equiv, the
+// leave-one-out tests of nonredundant, and the views of index build. Each
+// membership search, and every other command, runs serially. Verdicts and
+// witnesses are identical for every N; the default is 1.
 //
 // lint exit codes are severity-based: 0 = clean (notes allowed),
 // 3 = warnings found, 4 = errors found (1 = I/O failure, 2 = usage).
@@ -53,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "core/report.h"
 #include "index/index_reader.h"
 #include "index/index_writer.h"
 #include "service/cli.h"
@@ -158,6 +161,11 @@ int main(int argc, char** argv) {
                 "%zu dominance entries (%zu bytes)\n",
                 inv.index_path.c_str(), stats->classes, stats->sets,
                 stats->verdicts, stats->dominance_entries, stats->bytes);
+    if (req.engine_stats) {
+      std::printf("\n%s", viewcap::RenderEngineStats(
+                               workspace.EngineStatsSnapshot())
+                               .c_str());
+    }
     return 0;
   }
 
