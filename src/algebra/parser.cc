@@ -24,7 +24,7 @@ Status Locate(const Status& status, const SourceSpan& span) {
 
 }  // namespace
 
-Result<ExprPtr> LowerExpr(Catalog& catalog, const AstExpr& expr) {
+Result<ExprPtr> LowerExpr(const Catalog& catalog, const AstExpr& expr) {
   switch (expr.kind) {
     case AstExpr::Kind::kRel: {
       Result<RelId> rel = catalog.FindRelation(expr.rel);
@@ -39,13 +39,22 @@ Result<ExprPtr> LowerExpr(Catalog& catalog, const AstExpr& expr) {
         return Status::ParseError(
             StrCat("empty projection list at ", ToString(expr.span)));
       }
+      VIEWCAP_ASSIGN_OR_RETURN(ExprPtr child,
+                               LowerExpr(catalog, *expr.children.front()));
+      // Every attribute of TRS(child) was interned with its relation's
+      // scheme, so a name the catalog lacks is already outside TRS(child):
+      // the same typing error as a known name outside it (Section 1.2).
       std::vector<AttrId> attrs;
       attrs.reserve(expr.projection.size());
       for (const AstAttr& attr : expr.projection) {
-        attrs.push_back(catalog.AddAttribute(attr.name));
+        Result<AttrId> id = catalog.FindAttribute(attr.name);
+        if (!id.ok()) {
+          return Locate(Status::IllFormed("projection list is not a subset "
+                                          "of the child's TRS"),
+                        expr.span);
+        }
+        attrs.push_back(*id);
       }
-      VIEWCAP_ASSIGN_OR_RETURN(ExprPtr child,
-                               LowerExpr(catalog, *expr.children.front()));
       Result<ExprPtr> project =
           Expr::Project(AttrSet(std::move(attrs)), std::move(child));
       if (!project.ok()) return Locate(project.status(), expr.span);
@@ -100,7 +109,7 @@ Result<ParsedProgram> LowerProgram(Catalog& catalog,
   return parsed;
 }
 
-Result<ExprPtr> ParseExpr(Catalog& catalog, std::string_view text) {
+Result<ExprPtr> ParseExpr(const Catalog& catalog, std::string_view text) {
   std::vector<SyntaxError> errors;
   AstExprPtr ast = ParseExprAst(text, errors);
   if (!errors.empty()) return FirstSyntaxError(errors);

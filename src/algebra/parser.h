@@ -57,21 +57,25 @@ struct ParsedProgram {
   std::vector<ParsedView> views;
 };
 
-/// Parses a standalone expression over relations already in `catalog`.
-/// Diagnostics carry 1-based line:column positions.
-Result<ExprPtr> ParseExpr(Catalog& catalog, std::string_view text);
+/// Parses a standalone expression over relations and attributes already in
+/// `catalog`, which it only reads. Diagnostics carry 1-based line:column
+/// positions.
+Result<ExprPtr> ParseExpr(const Catalog& catalog, std::string_view text);
 
 /// Parses a full program, interning declared relations and view names into
 /// `catalog`.
 Result<ParsedProgram> ParseProgram(Catalog& catalog, std::string_view text);
 
 /// Lowers an already-parsed raw expression against `catalog`: resolves
-/// relation names, interns attributes and applies the Section 1.2 typing
-/// rules. Errors carry the offending node's source location.
-Result<ExprPtr> LowerExpr(Catalog& catalog, const AstExpr& expr);
+/// relation and attribute names and applies the Section 1.2 typing rules.
+/// A projection name the catalog lacks is the same typing error as one
+/// outside the child's TRS. Errors carry the offending node's source
+/// location.
+Result<ExprPtr> LowerExpr(const Catalog& catalog, const AstExpr& expr);
 
-/// Lowers a raw program item-by-item (schema relations and view relation
-/// names are interned as encountered, so later items see earlier ones).
+/// Lowers a raw program item-by-item (schema attributes and relations and
+/// view relation names are interned as encountered, so later items see
+/// earlier ones).
 Result<ParsedProgram> LowerProgram(Catalog& catalog,
                                    const AstProgram& program);
 

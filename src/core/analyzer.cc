@@ -70,10 +70,9 @@ Result<const View*> Analyzer::GetView(const std::string& name) const {
   return &it->second;
 }
 
-Result<EquivalenceResult> Analyzer::CheckEquivalence(const std::string& left,
-                                                     const std::string& right,
-                                                     const SearchLimits& limits,
-                                                     std::string* report) {
+Result<EquivalenceResult> Analyzer::CheckEquivalence(
+    const std::string& left, const std::string& right,
+    const SearchLimits& limits, std::string* report) const {
   VIEWCAP_ASSIGN_OR_RETURN(const View* v, GetView(left));
   VIEWCAP_ASSIGN_OR_RETURN(const View* w, GetView(right));
   VIEWCAP_ASSIGN_OR_RETURN(EquivalenceResult result,
@@ -107,7 +106,7 @@ Result<EquivalenceResult> Analyzer::CheckEquivalence(const std::string& left,
 
 Result<MembershipResult> Analyzer::CheckAnswerable(
     const std::string& name, const std::string& query_text,
-    const SearchLimits& limits, std::string* report) {
+    const SearchLimits& limits, std::string* report) const {
   VIEWCAP_ASSIGN_OR_RETURN(const View* view, GetView(name));
   VIEWCAP_ASSIGN_OR_RETURN(ExprPtr query,
                            ParseExpr(*catalog_, query_text));
@@ -170,7 +169,7 @@ Result<SimplifyOutcome> Analyzer::SimplifyView(const std::string& name,
 }
 
 Result<std::vector<Analyzer::LatticeEntry>> Analyzer::CompareAllViews(
-    const SearchLimits& limits, std::string* report) {
+    const SearchLimits& limits, std::string* report) const {
   std::vector<LatticeEntry> entries;
   for (std::size_t i = 0; i < view_order_.size(); ++i) {
     for (std::size_t j = i + 1; j < view_order_.size(); ++j) {
@@ -203,7 +202,7 @@ Result<std::vector<Analyzer::LatticeEntry>> Analyzer::CompareAllViews(
 
 Result<MinimizeResult> Analyzer::MinimizeQuery(const std::string& expr_text,
                                                const SearchLimits& limits,
-                                               std::string* report) {
+                                               std::string* report) const {
   VIEWCAP_ASSIGN_OR_RETURN(ExprPtr expr, ParseExpr(*catalog_, expr_text));
   for (RelId rel : expr->RelNames()) {
     if (!base_.Contains(rel)) {
@@ -246,7 +245,7 @@ Result<std::string> Analyzer::ExportView(const std::string& name) const {
 Result<Relation> Analyzer::EvaluateViewQuery(const std::string& view_name,
                                              const std::string& query_text,
                                              const std::string& data_text,
-                                             std::string* report) {
+                                             std::string* report) const {
   VIEWCAP_ASSIGN_OR_RETURN(const View* view, GetView(view_name));
   VIEWCAP_ASSIGN_OR_RETURN(ExprPtr query, ParseExpr(*catalog_, query_text));
   VIEWCAP_ASSIGN_OR_RETURN(ExprPtr surrogate, view->Surrogate(query));
@@ -265,7 +264,7 @@ Analyzer::EnumerateViewCapacity(const std::string& name,
                                 std::size_t max_leaves,
                                 const SearchLimits& limits,
                                 std::size_t max_entries,
-                                std::string* report) {
+                                std::string* report) const {
   VIEWCAP_ASSIGN_OR_RETURN(const View* view, GetView(name));
   CapacityOracle oracle(engine_.get(), *view, limits);
   VIEWCAP_ASSIGN_OR_RETURN(

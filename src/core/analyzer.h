@@ -31,6 +31,7 @@ class Analyzer {
   Status Load(std::string_view program);
 
   Catalog& catalog() { return *catalog_; }
+  const Catalog& catalog() const { return *catalog_; }
   const DbSchema& base() const { return base_; }
 
   /// The memoizing engine shared by every decision procedure this analyzer
@@ -47,23 +48,22 @@ class Analyzer {
   /// Fails with NotFound for unknown names.
   Result<const View*> GetView(const std::string& name) const;
 
-  // Every decision method below takes its SearchLimits per call, so the
-  // service layer's shared-lock handlers serve per-request limits without
-  // mutating analyzer state (see service/workspace.h).
+  // Every decision method below takes its SearchLimits per call, and the
+  // const ones neither intern names nor register views, so the service
+  // layer's shared-lock handlers run them on a `const Analyzer&` (see
+  // service/workspace.h).
 
   /// Theorem 2.4.12. Also renders a human-readable report into `*report`
   /// when non-null (witnessing expressions, missing queries).
-  Result<EquivalenceResult> CheckEquivalence(const std::string& left,
-                                             const std::string& right,
-                                             const SearchLimits& limits = {},
-                                             std::string* report = nullptr);
+  Result<EquivalenceResult> CheckEquivalence(
+      const std::string& left, const std::string& right,
+      const SearchLimits& limits = {}, std::string* report = nullptr) const;
 
   /// Theorem 2.4.11: is `query_text` (an expression over the base schema)
   /// answerable through view `name`?
-  Result<MembershipResult> CheckAnswerable(const std::string& name,
-                                           const std::string& query_text,
-                                           const SearchLimits& limits = {},
-                                           std::string* report = nullptr);
+  Result<MembershipResult> CheckAnswerable(
+      const std::string& name, const std::string& query_text,
+      const SearchLimits& limits = {}, std::string* report = nullptr) const;
 
   /// Theorem 3.1.4: redundancy elimination; registers the result as
   /// "<name>_nr".
@@ -88,14 +88,14 @@ class Analyzer {
   /// Classifies every pair of loaded views by dominance (Lemma 1.5.4);
   /// equivalence is mutual dominance. Renders a matrix into `*report`.
   Result<std::vector<LatticeEntry>> CompareAllViews(
-      const SearchLimits& limits = {}, std::string* report = nullptr);
+      const SearchLimits& limits = {}, std::string* report = nullptr) const;
 
   /// Tableau minimization of a base-schema expression (the reference [2]
   /// application): returns an equivalent expression with the fewest leaf
   /// occurrences found.
   Result<MinimizeResult> MinimizeQuery(const std::string& expr_text,
                                        const SearchLimits& limits = {},
-                                       std::string* report = nullptr);
+                                       std::string* report = nullptr) const;
 
   /// Flattens view `outer` (defined over `inner`'s schema... i.e. whose
   /// queries mention only `inner`'s view relations) into a view over the
@@ -113,7 +113,7 @@ class Analyzer {
   Result<std::vector<CapacityOracle::CapacityEntry>> EnumerateViewCapacity(
       const std::string& name, std::size_t max_leaves,
       const SearchLimits& limits = {}, std::size_t max_entries = 256,
-      std::string* report = nullptr);
+      std::string* report = nullptr) const;
 
   /// Evaluates a view-schema query against a concrete database instance
   /// (`data_text` in the relation/data_parser.h format): computes the
@@ -122,7 +122,7 @@ class Analyzer {
   Result<Relation> EvaluateViewQuery(const std::string& view_name,
                                      const std::string& query_text,
                                      const std::string& data_text,
-                                     std::string* report = nullptr);
+                                     std::string* report = nullptr) const;
 
  private:
   Status RegisterView(View view, const std::string& name);

@@ -494,10 +494,11 @@ class Engine {
   /// The worker pool shared by every call over this engine that runs
   /// independent questions at once, sized for `total_threads` concurrent
   /// threads (the pool holds total_threads - 1 workers; the calling
-  /// thread itself is the last party). Null for total_threads <= 1, which
-  /// ParallelFor runs as a plain loop, so a serial call never builds a
-  /// pool. Created lazily and grown, never shrunk, by later calls asking
-  /// for more.
+  /// thread itself is the last party). Callers ask for no more threads
+  /// than they have questions, so no call starts workers it cannot use.
+  /// Null for total_threads <= 1, which ParallelFor runs as a plain loop,
+  /// so a serial call never builds a pool. Created lazily and grown, never
+  /// shrunk, by later calls asking for more.
   ThreadPool* SharedPool(std::size_t total_threads);
 
   /// One-call consistent snapshot of the relaxed-atomic statistics: the

@@ -53,7 +53,7 @@ std::string SetSignature(RelId handle, std::uint32_t ordinal) {
 }  // namespace
 
 Result<std::unique_ptr<IndexReader>> IndexReader::Open(
-    const std::string& path, Catalog* catalog) {
+    const std::string& path, const Catalog* catalog) {
   std::unique_ptr<IndexReader> reader(new IndexReader());
   VIEWCAP_RETURN_NOT_OK(reader->Load(path, catalog));
   return reader;
@@ -77,7 +77,7 @@ IndexReader::~IndexReader() {
   }
 }
 
-Status IndexReader::Load(const std::string& path, Catalog* catalog) {
+Status IndexReader::Load(const std::string& path, const Catalog* catalog) {
   path_ = path;
   catalog_ = catalog;
   const int fd = ::open(path.c_str(), O_RDONLY);

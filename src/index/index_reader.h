@@ -69,9 +69,9 @@ struct IndexInfo {
 /// per-process resolution cache translating live TableauIds to stored
 /// class ordinals: the exact canonical key of a class's representative
 /// names it, so resolving a class is one binary search over the sorted
-/// key table. Lookups are safe for concurrent use; the catalog pointer is
-/// only read (witness re-parsing touches names the fingerprint match
-/// guarantees are already interned).
+/// key table. Lookups are safe for concurrent use, also under a
+/// workspace's shared lock (equiv, answerable): the catalog is held const,
+/// so re-parsing a stored witness only looks names up.
 class IndexReader : public VerdictIndex {
  public:
   /// Opens and fully validates `path` against `catalog` (the serving
@@ -80,7 +80,7 @@ class IndexReader : public VerdictIndex {
   /// that are truncated, corrupt, version- or endian-mismatched, or built
   /// over a different catalog.
   static Result<std::unique_ptr<IndexReader>> Open(const std::string& path,
-                                                   Catalog* catalog);
+                                                   const Catalog* catalog);
 
   /// Header + meta of `path` without a catalog (no fingerprint check, no
   /// structural decode beyond the meta section).
@@ -103,7 +103,7 @@ class IndexReader : public VerdictIndex {
   IndexReader() = default;
 
   /// mmaps `path` and validates everything; called by Open.
-  Status Load(const std::string& path, Catalog* catalog);
+  Status Load(const std::string& path, const Catalog* catalog);
   Status ValidateKeys();
   Status ValidateVerdicts();
   Status ValidateDominance();
@@ -129,7 +129,7 @@ class IndexReader : public VerdictIndex {
   std::string path_;
   const char* data_ = nullptr;  // mmap base; non-null once loaded.
   std::size_t size_ = 0;
-  Catalog* catalog_ = nullptr;
+  const Catalog* catalog_ = nullptr;
   IndexInfo info_;
 
   std::string_view keys_;

@@ -121,7 +121,7 @@ Result<std::string> BuildIndexBytes(Analyzer& analyzer,
   };
   std::vector<ViewSweep> sweeps(views.size());
   const std::size_t threads =
-      ThreadPool::DecideThreads(options.limits.threads);
+      std::min(ThreadPool::DecideThreads(options.limits.threads), views.size());
   ThreadPool* pool = engine.SharedPool(threads);
   ParallelFor(pool, threads, views.size(), [&](std::size_t i) {
     ViewSweep& sweep = sweeps[i];

@@ -96,7 +96,7 @@ Response Dispatcher::Handle(const Request& request) {
       break;
     }
     case RequestKind::kList:
-      workspace_->WithShared([&](Analyzer& a) {
+      workspace_->WithShared([&](const Analyzer& a) {
         for (const std::string& name : a.ViewNames()) {
           auto view = a.GetView(name);
           resp.output += (*view)->ToString();
@@ -105,7 +105,7 @@ Response Dispatcher::Handle(const Request& request) {
       });
       break;
     case RequestKind::kExport:
-      workspace_->WithShared([&](Analyzer& a) {
+      workspace_->WithShared([&](const Analyzer& a) {
         auto result = a.ExportView(request.view);
         if (!result.ok()) {
           Fail(&resp, result.status());
@@ -116,7 +116,7 @@ Response Dispatcher::Handle(const Request& request) {
       });
       break;
     case RequestKind::kEquiv:
-      workspace_->WithShared([&](Analyzer& a) {
+      workspace_->WithShared([&](const Analyzer& a) {
         auto result =
             a.CheckEquivalence(request.view, request.other_view, limits,
                                &report);
@@ -132,7 +132,7 @@ Response Dispatcher::Handle(const Request& request) {
       });
       break;
     case RequestKind::kLattice:
-      workspace_->WithShared([&](Analyzer& a) {
+      workspace_->WithShared([&](const Analyzer& a) {
         auto result = a.CompareAllViews(limits, &report);
         if (!result.ok()) {
           Fail(&resp, result.status());
@@ -143,7 +143,7 @@ Response Dispatcher::Handle(const Request& request) {
       });
       break;
     case RequestKind::kAnswerable:
-      workspace_->WithExclusive([&](Analyzer& a) {
+      workspace_->WithShared([&](const Analyzer& a) {
         auto result =
             a.CheckAnswerable(request.view, request.query, limits, &report);
         if (!result.ok()) {
@@ -183,7 +183,7 @@ Response Dispatcher::Handle(const Request& request) {
       });
       break;
     case RequestKind::kMinimize:
-      workspace_->WithExclusive([&](Analyzer& a) {
+      workspace_->WithShared([&](const Analyzer& a) {
         auto result = a.MinimizeQuery(request.query, limits, &report);
         if (!result.ok()) {
           Fail(&resp, result.status());
@@ -194,7 +194,7 @@ Response Dispatcher::Handle(const Request& request) {
       });
       break;
     case RequestKind::kCapacity:
-      workspace_->WithExclusive([&](Analyzer& a) {
+      workspace_->WithShared([&](const Analyzer& a) {
         auto result = a.EnumerateViewCapacity(request.view,
                                               request.max_leaves, limits,
                                               256, &report);
@@ -207,7 +207,7 @@ Response Dispatcher::Handle(const Request& request) {
       });
       break;
     case RequestKind::kEval:
-      workspace_->WithExclusive([&](Analyzer& a) {
+      workspace_->WithShared([&](const Analyzer& a) {
         auto result = a.EvaluateViewQuery(request.view, request.query,
                                           request.data_text, &report);
         if (!result.ok()) {

@@ -9,18 +9,20 @@
 //
 // Concurrency contract (see DESIGN.md, "Service core"): the Engine itself
 // is safe for concurrent use, but the surrounding program state is not —
-// ParseExpr interns attributes into the shared catalog, redundancy/
-// simplify/compose register result views, and Simplify mints catalog
-// relations. The Workspace therefore classifies request handling into two
-// lock classes on one reader/writer mutex:
+// load interns names into the shared catalog, redundancy/simplify/compose
+// register result views, and Simplify mints catalog relations. Request
+// expressions only read the catalog (ParseExpr takes `const Catalog&`:
+// a name it lacks is a typing error, never a new entry). The Workspace
+// therefore classifies request handling into two lock classes on one
+// reader/writer mutex:
 //
-//   - shared   (WithShared): handlers that only read the view map and run
-//     engine searches — list, export, equivalence, lattice, stats. Any
-//     number run concurrently; their closure searches multiplex onto the
-//     engine's striped caches and shared thread pool.
-//   - exclusive (WithExclusive): handlers that parse expressions, mint
-//     relations, or register views — load, membership, minimize, eval,
-//     capacity, redundancy, simplify, compose, report.
+//   - shared   (WithShared): handlers that register nothing — list,
+//     export, equiv, lattice, answerable, minimize, capacity, eval. They
+//     get a `const Analyzer&`, so the compiler keeps them from writing.
+//     Any number run concurrently; their closure searches multiplex onto
+//     the engine's striped caches and shared thread pool.
+//   - exclusive (WithExclusive): handlers that mint relations or register
+//     views — load, nonredundant, simplify, compose, report.
 //
 // Every handler passes its per-request SearchLimits explicitly (the
 // Analyzer keeps no limits of its own), so nothing mutates under a
@@ -66,10 +68,10 @@ class Workspace {
     return analyzer_.Load(program_text);
   }
 
-  /// Runs `fn(analyzer)` under the shared (reader) lock. `fn` must follow
-  /// the file-comment contract: no catalog/view mutation, explicit limits.
+  /// Runs `fn(analyzer)` under the shared (reader) lock, on a read-only
+  /// analyzer: `fn` can register no view and intern no name.
   template <typename Fn>
-  auto WithShared(Fn&& fn) {
+  auto WithShared(Fn&& fn) const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return std::forward<Fn>(fn)(analyzer_);
   }

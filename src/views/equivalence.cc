@@ -1,5 +1,6 @@
 #include "views/equivalence.h"
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -78,7 +79,8 @@ Result<EquivalenceResult> AreEquivalent(Engine& engine, const View& v,
   // The two dominance directions are independent questions over the
   // shared engine, run at once when `limits.threads` allows. Both are
   // always computed in full, so the combined verdict is order-independent.
-  const std::size_t threads = ThreadPool::DecideThreads(limits.threads);
+  const std::size_t threads =
+      std::min<std::size_t>(ThreadPool::DecideThreads(limits.threads), 2);
   std::optional<Result<DominanceResult>> directions[2];
   ParallelFor(engine.SharedPool(threads), threads, 2, [&](std::size_t i) {
     directions[i] = i == 0 ? Dominates(engine, v, w, limits)

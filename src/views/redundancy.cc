@@ -1,5 +1,6 @@
 #include "views/redundancy.h"
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <optional>
@@ -48,7 +49,8 @@ struct LeaveOneOutScan {
 /// catalog, as the engine contract requires.
 Result<LeaveOneOutScan> ScanLeaveOneOut(Engine& engine, const QuerySet& set,
                                         SearchLimits limits) {
-  const std::size_t threads = ThreadPool::DecideThreads(limits.threads);
+  const std::size_t threads =
+      std::min(ThreadPool::DecideThreads(limits.threads), set.size());
   std::vector<std::optional<Result<RedundancyResult>>> tests(set.size());
   std::atomic<std::size_t> stop{set.size()};
   ParallelFor(engine.SharedPool(threads), threads, set.size(),

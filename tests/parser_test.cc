@@ -74,6 +74,32 @@ TEST_F(ParserTest, IllTypedProjectionRejected) {
   EXPECT_EQ(bad.status().code(), StatusCode::kIllFormed);
 }
 
+TEST_F(ParserTest, UnknownProjectedNameIsATypingErrorAndInternsNothing) {
+  // Lowering only reads the catalog: a name it lacks lies outside every
+  // TRS (Section 1.2), so it gets the ill-typed projection's error, at the
+  // projection, and is not interned.
+  const Catalog& catalog = catalog_;
+  const std::size_t attributes = catalog.num_attributes();
+  Result<ExprPtr> bad = ParseExpr(catalog, "pi{Zz}(r)");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kIllFormed);
+  EXPECT_EQ(bad.status().message(),
+            "projection list is not a subset of the child's TRS at 1:1");
+  bad = ParseExpr(catalog, "r * pi{A}(pi{Zz, B}(s))");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(),
+            "projection list is not a subset of the child's TRS at 1:11");
+  EXPECT_EQ(catalog.num_attributes(), attributes);
+  EXPECT_FALSE(catalog.FindAttribute("Zz").ok());
+
+  // The child is lowered first, so an unknown relation is still the error.
+  bad = ParseExpr(catalog, "pi{Zz}(nope)");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(bad.status().message(), "unknown relation 'nope' at 1:8");
+  EXPECT_EQ(catalog.num_attributes(), attributes);
+}
+
 TEST_F(ParserTest, PrinterRoundTrips) {
   const char* cases[] = {
       "r",

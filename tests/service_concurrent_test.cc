@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/dispatcher.h"
@@ -163,6 +165,114 @@ TEST(ServiceConcurrentTest, ConcurrentLoadsAndReadsStaySafe) {
   const std::string views = dispatcher.Handle(list).output;
   EXPECT_NE(views.find("Extra_0_3"), std::string::npos);
   EXPECT_NE(views.find("Extra_1_3"), std::string::npos);
+}
+
+TEST(ServiceConcurrentTest, SharedReadersRaceLoads) {
+  // Every handler that registers nothing runs under the shared lock, the
+  // ones that lower request expressions included; loads take it
+  // exclusively and intern new names. The readers' replies must match a
+  // serial run, and a rejected query must intern nothing, however the
+  // requests interleave.
+  constexpr const char* kData = "r(1, 1, 1);\nr(2, 1, 3);\nr(2, 2, 2);\n";
+  std::vector<Request> reads;
+  {
+    Request r;
+    r.kind = RequestKind::kAnswerable;
+    r.view = "W";
+    r.query = "pi{A,C}(pi{A,B}(r) * pi{B,C}(r))";  // Member.
+    reads.push_back(r);
+    r.query = "pi{A,C}(r)";  // Non-member.
+    reads.push_back(r);
+    r.query = "pi{Zz}(r)";  // Rejected: Zz is in no relation's scheme.
+    reads.push_back(r);
+  }
+  {
+    Request r;
+    r.kind = RequestKind::kMinimize;
+    r.query = "pi{A,B}(r) * pi{A,B}(r * r)";
+    reads.push_back(r);
+  }
+  {
+    Request r;
+    r.kind = RequestKind::kCapacity;
+    r.view = "W";
+    r.max_leaves = 2;
+    reads.push_back(r);
+  }
+  {
+    Request r;
+    r.kind = RequestKind::kEval;
+    r.view = "W";
+    r.query = "pi{A,C}(w1 * w2)";
+    r.data_text = kData;
+    reads.push_back(r);
+  }
+
+  Workspace baseline_ws;
+  VIEWCAP_ASSERT_OK(baseline_ws.Load(kProgram));
+  Dispatcher baseline_dispatcher(&baseline_ws);
+  const std::vector<Response> baseline =
+      RunWorkload(baseline_dispatcher, reads);
+  ASSERT_EQ(baseline[0].verdict, std::optional<bool>(true));
+  ASSERT_EQ(baseline[1].verdict, std::optional<bool>(false));
+  ASSERT_EQ(baseline[2].status.code(), StatusCode::kIllFormed);
+
+  Workspace workspace;
+  VIEWCAP_ASSERT_OK(workspace.Load(kProgram));
+  Dispatcher dispatcher(&workspace);
+  const auto attributes = [&workspace] {
+    return workspace.WithShared(
+        [](const Analyzer& a) { return a.catalog().num_attributes(); });
+  };
+  const std::size_t attributes_before = attributes();
+
+  constexpr std::size_t kReaders = 4;
+  constexpr std::size_t kWriters = 2;
+  constexpr int kRounds = 4;
+  constexpr int kLoads = 4;
+  std::vector<std::vector<Response>> transcripts(kReaders);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (Response& r : RunWorkload(dispatcher, reads)) {
+          transcripts[t].push_back(std::move(r));
+        }
+      }
+    });
+  }
+  for (std::size_t t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&dispatcher, t] {
+      for (int i = 0; i < kLoads; ++i) {
+        // Each load interns a fresh attribute and relation and registers
+        // a view, beside the readers.
+        const std::string tag = std::to_string(t) + "_" + std::to_string(i);
+        Request load;
+        load.kind = RequestKind::kLoad;
+        load.program_text = "schema { t" + tag + "(A, X" + tag + "); }\n" +
+                            "view Extra" + tag + " { x" + tag +
+                            " := pi{A,B}(r); }";
+        EXPECT_EQ(dispatcher.Handle(load).exit_code, 0) << tag;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    ASSERT_EQ(transcripts[t].size(), kRounds * reads.size());
+    for (std::size_t i = 0; i < transcripts[t].size(); ++i) {
+      const Response& got = transcripts[t][i];
+      const Response& want = baseline[i % reads.size()];
+      EXPECT_EQ(got.output, want.output) << "reader=" << t << " reply=" << i;
+      EXPECT_EQ(got.exit_code, want.exit_code);
+      EXPECT_EQ(got.verdict, want.verdict);
+      EXPECT_EQ(got.witness, want.witness);
+      EXPECT_EQ(got.status.code(), want.status.code());
+      EXPECT_EQ(got.status.message(), want.status.message());
+    }
+  }
+  // The loads interned one attribute each; the rejected queries none.
+  EXPECT_EQ(attributes(), attributes_before + kWriters * kLoads);
 }
 
 TEST(ServiceConcurrentTest, ConcurrentProtocolSessionsShareServerStats) {

@@ -261,6 +261,47 @@ TEST_F(ServiceDispatchTest, LatticeMinimizeCapacityEvalReport) {
   EXPECT_NE(r.output.find("viewcap analysis report"), std::string::npos);
 }
 
+TEST_F(ServiceDispatchTest, RejectedQueriesLeaveTheCatalogUnchanged) {
+  // Request expressions are lowered against the catalog read-only, so a
+  // query that projects a name no relation has is rejected without
+  // interning it: otherwise each such request would grow a daemon's
+  // catalog for good and shift the ids of names later loads intern.
+  const auto attributes = [this] {
+    return workspace_.WithShared(
+        [](const Analyzer& a) { return a.catalog().num_attributes(); });
+  };
+  const std::size_t before = attributes();
+  const std::string ill_typed =
+      "projection list is not a subset of the child's TRS at 1:1";
+  for (int i = 0; i < 4; ++i) {
+    Request answerable;
+    answerable.kind = RequestKind::kAnswerable;
+    answerable.view = "W";
+    answerable.query = "pi{Zz" + std::to_string(i) + "}(r)";
+    Response r = Run(answerable);
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_EQ(r.status.code(), StatusCode::kIllFormed);
+    EXPECT_EQ(r.status.message(), ill_typed);
+  }
+  Request minimize;
+  minimize.kind = RequestKind::kMinimize;
+  minimize.query = "pi{Qq}(r)";
+  Response r = Run(minimize);
+  EXPECT_EQ(r.status.code(), StatusCode::kIllFormed);
+  EXPECT_EQ(r.status.message(), ill_typed);
+
+  Request eval;
+  eval.kind = RequestKind::kEval;
+  eval.view = "W";
+  eval.query = "pi{Ee}(w1)";
+  eval.data_text = kExampleData;
+  r = Run(eval);
+  EXPECT_EQ(r.status.code(), StatusCode::kIllFormed);
+  EXPECT_EQ(r.status.message(), ill_typed);
+
+  EXPECT_EQ(attributes(), before);
+}
+
 TEST_F(ServiceDispatchTest, ComposeReportsWellFormednessErrors) {
   // Program loading flattens views-of-views to base level (Lemma 1.4.1),
   // so a text-loaded outer is already over the base schema and Compose

@@ -48,9 +48,10 @@ cmake --build --preset ci-tsan
 # sharing, capacity/equivalence/redundancy calls) plus the
 # kernel-vs-legacy homomorphism differential suite (hom_kernel_test),
 # which drives the engine at several thread counts, the ParallelFor index
-# build and lint at threads 8 (three named tests). The asan/ubsan presets
-# run the full suite, so the differential tests run under all three
-# sanitizers.
+# build and lint at threads 8 (three named tests). It excludes the index
+# round-trip tests, which its Engine and Equivalence patterns match but
+# which run nothing concurrently. The asan/ubsan presets run the full
+# suite, so the differential tests run under all three sanitizers.
 echo "== test (ci-tsan, parallel subset) =="
 ctest --preset ci-tsan
 
