@@ -12,9 +12,14 @@
 // BM_ServingProtocolLine measures the daemon's full per-request overhead
 // on a warm engine — JSON parse, dispatch, JSON serialize — i.e. what a
 // client actually pays per line once the engine is hot.
+//
+// BM_ServingLoadSequence/{100,800} grows one workspace by n loads, as a
+// daemon does: /800 takes about 9x /100 (1.11 vs 10.3 ms on the same VM).
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "service/dispatcher.h"
@@ -25,13 +30,15 @@ namespace bench {
 namespace {
 
 /// The chain family as program text: L binary links r1(A0,A1) ...
-/// rL(A{L-1},AL) and the link view publishing each link verbatim.
-std::string ChainProgram(std::size_t links) {
+/// rL(A{L-1},AL) and the link view publishing each link verbatim. `tag`
+/// suffixes every relation and view name (not the attributes), so
+/// differently tagged programs load into one workspace side by side.
+std::string ChainProgram(std::size_t links, std::string_view tag = "") {
   std::string schema = "schema { ";
-  std::string view = "view Links { ";
+  std::string view = StrCat("view Links", tag, " { ");
   for (std::size_t i = 1; i <= links; ++i) {
-    schema += StrCat("r", i, "(A", i - 1, ", A", i, "); ");
-    view += StrCat("lk", i, " := r", i, "; ");
+    schema += StrCat("r", i, tag, "(A", i - 1, ", A", i, "); ");
+    view += StrCat("lk", i, tag, " := r", i, tag, "; ");
   }
   return StrCat(schema, "}\n", view, "}\n");
 }
@@ -146,6 +153,35 @@ void BM_ServingEquivalenceWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServingEquivalenceWarm)->Unit(benchmark::kMillisecond);
+
+/// A daemon growing its workspace one load at a time, as on perfbench's
+/// daemon-churn: each iteration loads n distinct L=3 chain programs
+/// (unique relation and view names, shared attribute names) into a fresh
+/// Workspace. A load costs what its program costs, so /800 should take
+/// about 8x /100; a load that redoes work for every registered view
+/// makes the ratio grow with n instead.
+void BM_ServingLoadSequence(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::string> programs;
+  programs.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    programs.push_back(ChainProgram(3, StrCat("_", k)));
+  }
+  for (auto _ : state) {
+    Workspace workspace;
+    for (const std::string& program : programs) {
+      if (!workspace.Load(program).ok()) {
+        state.SkipWithError("load failed");
+        return;
+      }
+    }
+    benchmark::DoNotOptimize(workspace);
+  }
+}
+BENCHMARK(BM_ServingLoadSequence)
+    ->Arg(100)
+    ->Arg(800)
+    ->Unit(benchmark::kMillisecond);
 
 /// Full protocol round trip per request on a warm engine: what one
 /// daemon request line costs end to end (parse + dispatch + serialize).

@@ -1,9 +1,12 @@
 #include "core/analyzer.h"
 
+#include <unordered_set>
+
 #include "algebra/eval.h"
 #include "algebra/expand.h"
 #include "algebra/parser.h"
 #include "algebra/printer.h"
+#include "base/check.h"
 #include "base/source.h"
 #include "base/strings.h"
 #include "relation/data_parser.h"
@@ -13,51 +16,90 @@ namespace viewcap {
 Status Analyzer::Load(std::string_view program) {
   VIEWCAP_ASSIGN_OR_RETURN(ParsedProgram parsed,
                            ParseProgram(*catalog_, program));
-  base_rels_.insert(base_rels_.end(), parsed.base_relations.begin(),
-                    parsed.base_relations.end());
-  base_ = DbSchema(*catalog_, base_rels_);
+  DbSchema base = base_.Extended(*catalog_, std::move(parsed.base_relations));
   // Queries may reference the relations of previously declared views
   // (views of views, Section 1.3); they are flattened to base-level
-  // queries by Lemma 1.4.1 expansion at load time. Registered definitions
-  // are always base-level, so one expansion pass reaches a fixpoint.
-  Definitions known;
-  for (const auto& [name, view] : views_) {
-    for (const ViewDefinition& d : view.definitions()) {
-      known.emplace(d.rel, d.query);
-    }
-  }
-  for (ParsedView& pv : parsed.views) {
+  // queries by Lemma 1.4.1 expansion at load time, each against the view
+  // relations it reads. Registered definitions are always base-level, so
+  // one expansion pass reaches a fixpoint.
+  ViewRelations pending;
+  std::vector<View> views;
+  views.reserve(parsed.views.size());
+  std::unordered_set<std::string_view> names;
+  for (const ParsedView& pv : parsed.views) {
+    auto where = [&pv] {
+      return StrCat(" (view '", pv.name, "' at ", ToString(pv.name_span), ")");
+    };
     std::vector<std::pair<RelId, ExprPtr>> defs;
     defs.reserve(pv.definitions.size());
-    for (ParsedDefinition& d : pv.definitions) {
+    for (const ParsedDefinition& d : pv.definitions) {
+      Definitions reads;
+      for (RelId rel : d.query->RelNames()) {
+        const ViewRelation* read = FindViewRelation(rel, pending);
+        if (read == nullptr) continue;
+        if (!read->rival.empty()) {
+          return Status::IllFormed(StrCat(
+              "view relation '", catalog_->RelationName(rel),
+              "' is defined differently by views '", read->view, "' and '",
+              read->rival, "'", where()));
+        }
+        reads.emplace(rel, read->query);
+      }
       VIEWCAP_ASSIGN_OR_RETURN(ExprPtr flattened,
-                               Expand(*catalog_, d.query, known));
+                               Expand(*catalog_, d.query, reads));
       defs.push_back({d.view_rel, std::move(flattened)});
     }
     Result<View> created =
-        View::Create(catalog_.get(), base_, std::move(defs), pv.name);
+        View::Create(catalog_.get(), base, std::move(defs), pv.name);
     if (!created.ok()) {
       return Status(created.status().code(),
-                    StrCat(created.status().message(), " (view '", pv.name,
-                           "' at ", ToString(pv.name_span), ")"));
+                    StrCat(created.status().message(), where()));
     }
-    View view = std::move(created).value();
-    for (const ViewDefinition& d : view.definitions()) {
-      known.emplace(d.rel, d.query);
+    if (views_.count(pv.name) > 0 || !names.insert(pv.name).second) {
+      return Status::IllFormed(StrCat("view '", pv.name, "' already defined"));
     }
-    VIEWCAP_RETURN_NOT_OK(RegisterView(std::move(view), pv.name));
+    for (const ViewDefinition& d : created->definitions()) {
+      Define(&pending, FindViewRelation(d.rel, pending), d, pv.name);
+    }
+    views.push_back(std::move(created).value());
+  }
+  // Every view checked: commit the base snapshot and the views.
+  base_ = std::move(base);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    RegisterView(std::move(views[i]), parsed.views[i].name);
   }
   return Status::OK();
 }
 
-Status Analyzer::RegisterView(View view, const std::string& name) {
-  if (views_.count(name) > 0) {
-    return Status::IllFormed(StrCat("view '", name, "' already defined"));
+void Analyzer::Define(ViewRelations* into, const ViewRelation* prior,
+                      const ViewDefinition& d, const std::string& view) {
+  ViewRelation entry =
+      prior != nullptr ? *prior : ViewRelation{d.query, view, ""};
+  if (entry.rival.empty() && entry.query != d.query &&
+      !Expr::StructurallyEqual(*entry.query, *d.query)) {
+    entry.rival = view;
+  }
+  into->insert_or_assign(d.rel, std::move(entry));
+}
+
+const Analyzer::ViewRelation* Analyzer::FindViewRelation(
+    RelId rel, const ViewRelations& pending) const {
+  auto it = pending.find(rel);
+  if (it != pending.end()) return &it->second;
+  it = view_rels_.find(rel);
+  return it != view_rels_.end() ? &it->second : nullptr;
+}
+
+void Analyzer::RegisterView(View view, const std::string& name) {
+  VIEWCAP_DCHECK(views_.count(name) == 0);
+  for (const ViewDefinition& d : view.definitions()) {
+    auto it = view_rels_.find(d.rel);
+    Define(&view_rels_, it != view_rels_.end() ? &it->second : nullptr, d,
+           name);
   }
   view.set_name(name);
   views_.emplace(name, std::move(view));
   view_order_.push_back(name);
-  return Status::OK();
 }
 
 std::vector<std::string> Analyzer::ViewNames() const { return view_order_; }
@@ -144,8 +186,7 @@ Result<NonredundantViewResult> Analyzer::EliminateRedundancy(
   }
   std::string result_name = StrCat(name, "_nr");
   if (views_.count(result_name) == 0) {
-    View registered = result.view;
-    VIEWCAP_RETURN_NOT_OK(RegisterView(std::move(registered), result_name));
+    RegisterView(result.view, result_name);
   }
   return result;
 }
@@ -162,8 +203,7 @@ Result<SimplifyOutcome> Analyzer::SimplifyView(const std::string& name,
   }
   std::string result_name = StrCat(name, "_simplified");
   if (views_.count(result_name) == 0) {
-    View registered = outcome.view;
-    VIEWCAP_RETURN_NOT_OK(RegisterView(std::move(registered), result_name));
+    RegisterView(outcome.view, result_name);
   }
   return outcome;
 }
@@ -232,7 +272,7 @@ Result<const View*> Analyzer::ComposeViews(const std::string& inner,
   std::string result_name = composed.name();
   if (report != nullptr) *report = composed.ToString();
   if (views_.count(result_name) == 0) {
-    VIEWCAP_RETURN_NOT_OK(RegisterView(std::move(composed), result_name));
+    RegisterView(std::move(composed), result_name);
   }
   return &views_.at(result_name);
 }

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "engine/engine.h"
 #include "tableau/recognize.h"
@@ -27,7 +28,15 @@ class Analyzer {
         engine_(std::make_unique<Engine>(catalog_.get())) {}
 
   /// Parses `program` (schema and view blocks) into this analyzer.
-  /// All relation names across calls share one catalog.
+  /// All relation names across calls share one catalog. A load costs what
+  /// its program costs: its views share one base snapshot, the registered
+  /// base extended by the program's relations, and a definition that
+  /// reads view relations (views of views) is flattened against just
+  /// those, found among the program's earlier views or in the index of
+  /// registered ones. Reading a relation that two views define
+  /// differently is an error. The load is atomic: it builds and checks
+  /// every view first, so a failed load registers no view and leaves the
+  /// base as it was (names the parse interned stay in the catalog).
   Status Load(std::string_view program);
 
   Catalog& catalog() { return *catalog_; }
@@ -125,14 +134,34 @@ class Analyzer {
                                      std::string* report = nullptr) const;
 
  private:
-  Status RegisterView(View view, const std::string& name);
+  /// A view relation's defining query, as the views that define it agree.
+  struct ViewRelation {
+    ExprPtr query;
+    std::string view;   ///< The first view that defined it.
+    std::string rival;  ///< A view that defined it differently, if any.
+  };
+  using ViewRelations = std::unordered_map<RelId, ViewRelation>;
+
+  /// Records in `*into` that view `view` has definition `d`, where
+  /// `prior` is the entry `d.rel` had so far (null when none).
+  static void Define(ViewRelations* into, const ViewRelation* prior,
+                     const ViewDefinition& d, const std::string& view);
+
+  /// `rel`'s entry among a load's earlier views (`pending`), else in the
+  /// index of registered views; null when no view defines it.
+  const ViewRelation* FindViewRelation(RelId rel,
+                                       const ViewRelations& pending) const;
+
+  /// Registers `view` under the new name `name` and adds its definitions
+  /// to the view-relation index.
+  void RegisterView(View view, const std::string& name);
 
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<Engine> engine_;  // Over *catalog_; shared by all commands.
   DbSchema base_;
-  std::vector<RelId> base_rels_;
   std::map<std::string, View> views_;
   std::vector<std::string> view_order_;
+  ViewRelations view_rels_;  // Every registered view's definitions.
 };
 
 }  // namespace viewcap

@@ -1,6 +1,7 @@
 #include "relation/catalog.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "base/check.h"
 #include "base/strings.h"
@@ -95,15 +96,29 @@ AttrSet Catalog::Universe(const std::vector<RelId>& rels) const {
   return u;
 }
 
+const DbSchema::Rep DbSchema::kEmpty{};
+
 DbSchema::DbSchema(const Catalog& catalog, std::vector<RelId> rels)
-    : rels_(std::move(rels)) {
-  std::sort(rels_.begin(), rels_.end());
-  rels_.erase(std::unique(rels_.begin(), rels_.end()), rels_.end());
-  universe_ = catalog.Universe(rels_);
+    : DbSchema(DbSchema().Extended(catalog, std::move(rels))) {}
+
+DbSchema DbSchema::Extended(const Catalog& catalog,
+                            std::vector<RelId> rels) const {
+  std::sort(rels.begin(), rels.end());
+  rels.erase(std::unique(rels.begin(), rels.end()), rels.end());
+  std::erase_if(rels, [this](RelId rel) { return Contains(rel); });
+  if (rels.empty()) return *this;
+  auto rep = std::make_shared<Rep>();
+  rep->universe = universe().Union(catalog.Universe(rels));
+  rep->rels.reserve(size() + rels.size());
+  std::merge(relations().begin(), relations().end(), rels.begin(),
+             rels.end(), std::back_inserter(rep->rels));
+  DbSchema extended;
+  extended.rep_ = std::move(rep);
+  return extended;
 }
 
 bool DbSchema::Contains(RelId rel) const {
-  return std::binary_search(rels_.begin(), rels_.end(), rel);
+  return std::binary_search(relations().begin(), relations().end(), rel);
 }
 
 }  // namespace viewcap

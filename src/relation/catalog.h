@@ -2,6 +2,7 @@
 #ifndef VIEWCAP_RELATION_CATALOG_H_
 #define VIEWCAP_RELATION_CATALOG_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -67,20 +68,35 @@ class Catalog {
 };
 
 /// A database schema: a finite nonempty set of relation names (Section
-/// 1.1). Thin value type over the catalog.
+/// 1.1). A value type over the catalog whose relations and universe sit
+/// in one immutable array that copies share: copying a schema (or a view
+/// holding one) copies a pointer, and the empty schema allocates nothing.
 class DbSchema {
  public:
   DbSchema() = default;
   DbSchema(const Catalog& catalog, std::vector<RelId> rels);
 
-  const std::vector<RelId>& relations() const { return rels_; }
-  const AttrSet& universe() const { return universe_; }
+  /// This schema plus `rels` (duplicates and present ids allowed): equal
+  /// to DbSchema(catalog, relations() + rels), but the universe is this
+  /// one's joined with the added schemes only. Returns a copy sharing
+  /// this schema's array when `rels` adds nothing.
+  DbSchema Extended(const Catalog& catalog, std::vector<RelId> rels) const;
+
+  const std::vector<RelId>& relations() const { return rep().rels; }
+  const AttrSet& universe() const { return rep().universe; }
   bool Contains(RelId rel) const;
-  std::size_t size() const { return rels_.size(); }
+  std::size_t size() const { return rep().rels.size(); }
 
  private:
-  std::vector<RelId> rels_;
-  AttrSet universe_;
+  struct Rep {
+    std::vector<RelId> rels;  // Sorted, distinct.
+    AttrSet universe;
+  };
+  static const Rep kEmpty;
+
+  const Rep& rep() const { return rep_ != nullptr ? *rep_ : kEmpty; }
+
+  std::shared_ptr<const Rep> rep_;  // Null when empty.
 };
 
 }  // namespace viewcap

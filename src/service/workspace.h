@@ -61,8 +61,11 @@ class Workspace {
 
   /// Parses and registers `program_text`'s schema and views into the
   /// shared analyzer (exclusive). View names accumulate across loads, so
-  /// a daemon can grow its workspace one program at a time; a duplicate
-  /// view name fails the load and leaves earlier state intact.
+  /// a daemon can grow its workspace one program at a time, and a load
+  /// costs what its program costs, not what the workspace holds
+  /// (Analyzer::Load). A load is atomic: a duplicate view name, a read of
+  /// a view relation two views define differently or any other error
+  /// fails it and leaves earlier state intact.
   Status Load(std::string_view program_text) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     return analyzer_.Load(program_text);

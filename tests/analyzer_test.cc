@@ -29,6 +29,10 @@ TEST_F(AnalyzerTest, LoadsViewsInOrder) {
   const View* v = Unwrap(analyzer_.GetView("V"));
   EXPECT_EQ(v->size(), 1u);
   EXPECT_EQ(analyzer_.GetView("nope").status().code(), StatusCode::kNotFound);
+  // The views of one load share one base snapshot.
+  const View* w = Unwrap(analyzer_.GetView("W"));
+  EXPECT_EQ(&v->base().relations(), &w->base().relations());
+  EXPECT_EQ(&v->base().relations(), &analyzer_.base().relations());
 }
 
 TEST_F(AnalyzerTest, EquivalenceWithReport) {
@@ -92,17 +96,94 @@ TEST_F(AnalyzerTest, SimplifyRegistersResult) {
 }
 
 TEST_F(AnalyzerTest, IncrementalLoadSharesCatalog) {
+  const View* v = Unwrap(analyzer_.GetView("V"));
+  const std::vector<RelId> relations = v->base().relations();
+  const AttrSet universe = v->universe();
+  const std::string exported = Unwrap(analyzer_.ExportView("W"));
+  const std::string query = "pi{A,C}(pi{A,B}(r) * pi{B,C}(r))";
+  const bool equivalent =
+      Unwrap(analyzer_.CheckEquivalence("V", "W")).equivalent;
+  const bool member = Unwrap(analyzer_.CheckAnswerable("W", query)).member;
   VIEWCAP_ASSERT_OK(analyzer_.Load(R"(
     schema { s(C, D); }
     view X { x := r * s; }
   )"));
   EXPECT_EQ(analyzer_.base().size(), 2u);
-  EXPECT_TRUE(analyzer_.GetView("X").ok());
+  const View* x = Unwrap(analyzer_.GetView("X"));
+  EXPECT_EQ(x->universe().size(), 4u);
+  EXPECT_EQ(&x->base().relations(), &analyzer_.base().relations());
+  // Earlier views keep their own load's snapshot: the new relation and
+  // attribute change no export, template width or verdict of theirs.
+  EXPECT_NE(&v->base().relations(), &x->base().relations());
+  EXPECT_EQ(v->base().relations(), relations);
+  EXPECT_EQ(v->universe(), universe);
+  EXPECT_EQ(Unwrap(analyzer_.ExportView("W")), exported);
+  EXPECT_EQ(Unwrap(analyzer_.CheckEquivalence("V", "W")).equivalent,
+            equivalent);
+  EXPECT_EQ(Unwrap(analyzer_.CheckAnswerable("W", query)).member, member);
 }
 
 TEST_F(AnalyzerTest, DuplicateViewNameRejected) {
+  const std::vector<std::string> names = analyzer_.ViewNames();
   Status st = analyzer_.Load("view V { dup := pi{A}(r); }");
   EXPECT_EQ(st.code(), StatusCode::kIllFormed);
+  // A failed load registers nothing: when the program's second view takes
+  // a registered name, neither X nor t stays behind.
+  st = analyzer_.Load(
+      "schema { t(A, B); } view X { x := t; } view V { vv := t; }");
+  EXPECT_EQ(st.code(), StatusCode::kIllFormed);
+  EXPECT_NE(st.message().find("view 'V' already defined"), std::string::npos)
+      << st.message();
+  EXPECT_EQ(analyzer_.ViewNames(), names);
+  EXPECT_EQ(analyzer_.base().size(), 1u);
+  EXPECT_EQ(analyzer_.GetView("X").status().code(), StatusCode::kNotFound);
+  // Two views of one program with one name fail the same way.
+  EXPECT_EQ(analyzer_.Load("view Y { y1 := r; } view Y { y2 := r; }").code(),
+            StatusCode::kIllFormed);
+  EXPECT_EQ(analyzer_.ViewNames(), names);
+  // The corrected retry loads.
+  VIEWCAP_ASSERT_OK(analyzer_.Load(
+      "schema { t(A, B); } view X { x := t; } view V2 { vv := t; }"));
+  EXPECT_EQ(analyzer_.base().size(), 2u);
+  EXPECT_TRUE(analyzer_.GetView("X").ok());
+  EXPECT_TRUE(analyzer_.GetView("V2").ok());
+}
+
+// Two views may define one view relation differently (two designs to
+// compare), but a later definition that reads it is ambiguous, whether it
+// comes in the same load or a later one.
+constexpr char kRivalDesigns[] =
+    "schema { p(A, B); q(A, B); } view B1 { u := p; } view A1 { u := q; }";
+
+TEST_F(AnalyzerTest, ReadingARelationTwoViewsDefineDifferentlyFails) {
+  const std::vector<std::string> names = analyzer_.ViewNames();
+  Status st = analyzer_.Load(StrCat(kRivalDesigns, " view C { c := u; }"));
+  EXPECT_EQ(st.code(), StatusCode::kIllFormed);
+  EXPECT_NE(st.message().find("view relation 'u' is defined differently by "
+                              "views 'B1' and 'A1' (view 'C' at 1:"),
+            std::string::npos)
+      << st.message();
+  EXPECT_EQ(analyzer_.ViewNames(), names);
+
+  VIEWCAP_ASSERT_OK(analyzer_.Load(kRivalDesigns));
+  EXPECT_FALSE(Unwrap(analyzer_.CheckEquivalence("B1", "A1")).equivalent);
+  st = analyzer_.Load("view C { c := u; }");
+  EXPECT_EQ(st.code(), StatusCode::kIllFormed);
+  EXPECT_NE(st.message().find("view relation 'u' is defined differently by "
+                              "views 'B1' and 'A1'"),
+            std::string::npos)
+      << st.message();
+  EXPECT_EQ(analyzer_.GetView("C").status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(AnalyzerTest, EqualDefinitionsOfOneRelationAreNotAmbiguous) {
+  // W_nr shares W's queries, and W2 re-declares w1 with an equal query.
+  Unwrap(analyzer_.EliminateRedundancy("W"));
+  VIEWCAP_ASSERT_OK(analyzer_.Load("view W2 { w1 := pi{A, B}(r); }"));
+  VIEWCAP_ASSERT_OK(analyzer_.Load("view O { o := w1 * w2; }"));
+  const View* o = Unwrap(analyzer_.GetView("O"));
+  EXPECT_EQ(ToString(*o->definitions()[0].query, analyzer_.catalog()),
+            "pi{A, B}(r) * pi{B, C}(r)");
 }
 
 TEST_F(AnalyzerTest, LimitsArePluggable) {

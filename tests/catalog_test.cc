@@ -93,6 +93,42 @@ TEST(DbSchemaTest, DefaultIsEmpty) {
   DbSchema schema;
   EXPECT_EQ(schema.size(), 0u);
   EXPECT_FALSE(schema.Contains(0));
+  EXPECT_TRUE(schema.universe().empty());
+}
+
+TEST(DbSchemaTest, ExtendedMatchesTheFromScratchSchema) {
+  Catalog catalog;
+  RelId r = Unwrap(catalog.AddRelation("r", catalog.MakeScheme({"A", "B"})));
+  RelId s = Unwrap(catalog.AddRelation("s", catalog.MakeScheme({"B", "C"})));
+  RelId t = Unwrap(catalog.AddRelation("t", catalog.MakeScheme({"D"})));
+  RelId u = Unwrap(catalog.AddRelation("u", catalog.MakeScheme({"A", "E"})));
+  const DbSchema base(catalog, {s, r});
+  // Duplicate ids and ids already present.
+  const DbSchema extended = base.Extended(catalog, {u, t, r, u, s});
+  const DbSchema scratch(catalog, {r, s, t, u});
+  EXPECT_EQ(extended.relations(), scratch.relations());
+  EXPECT_EQ(extended.relations(), (std::vector<RelId>{r, s, t, u}));
+  EXPECT_EQ(extended.universe(), scratch.universe());
+  EXPECT_EQ(extended.universe(),
+            catalog.MakeScheme({"A", "B", "C", "D", "E"}));
+  // The extension leaves its base as it was.
+  EXPECT_EQ(base.relations(), (std::vector<RelId>{r, s}));
+  EXPECT_EQ(base.universe(), catalog.MakeScheme({"A", "B", "C"}));
+  // From the empty schema it is the from-scratch constructor.
+  EXPECT_EQ(DbSchema().Extended(catalog, {u, s, u}).relations(),
+            DbSchema(catalog, {s, u}).relations());
+}
+
+TEST(DbSchemaTest, CopiesAndEmptyExtensionsShareOneArray) {
+  Catalog catalog;
+  RelId r = Unwrap(catalog.AddRelation("r", catalog.MakeScheme({"A"})));
+  const DbSchema base(catalog, {r});
+  const DbSchema copy = base;
+  EXPECT_EQ(&copy.relations(), &base.relations());
+  EXPECT_EQ(&copy.universe(), &base.universe());
+  // Adding nothing new, or nothing at all, shares the array too.
+  EXPECT_EQ(&base.Extended(catalog, {r, r}).relations(), &base.relations());
+  EXPECT_EQ(&base.Extended(catalog, {}).relations(), &base.relations());
 }
 
 }  // namespace

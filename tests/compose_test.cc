@@ -122,6 +122,29 @@ TEST(AnalyzerComposeTest, TextualViewsOfViewsAreFlattenedAtLoad) {
   EXPECT_TRUE(Unwrap(Dominates(engine, *inner, *outer)).dominates);
 }
 
+TEST(AnalyzerComposeTest, ViewsOfViewsFlattenAlikeAfterDerivedViews) {
+  constexpr char kInner[] = R"(
+    schema { r(A, B); s(B, C); }
+    view Inner { v1 := pi{A,B}(r * s); v2 := pi{B,C}(r * s); }
+  )";
+  constexpr char kOuter[] = "view Outer { w := pi{A,C}(v1 * v2); }";
+  // One load of both views.
+  Analyzer whole;
+  VIEWCAP_ASSERT_OK(whole.Load(StrCat(kInner, kOuter)));
+  // Inner first, then derived views registered from it (Inner_nr shares
+  // its relations), then Outer in a load of its own.
+  Analyzer split;
+  VIEWCAP_ASSERT_OK(split.Load(kInner));
+  Unwrap(split.EliminateRedundancy("Inner"));
+  Unwrap(split.SimplifyView("Inner"));
+  VIEWCAP_ASSERT_OK(split.Load(kOuter));
+  EXPECT_EQ(Unwrap(split.ExportView("Outer")),
+            Unwrap(whole.ExportView("Outer")));
+  EXPECT_TRUE(Expr::StructurallyEqual(
+      *Unwrap(split.GetView("Outer"))->definitions()[0].query,
+      *Unwrap(whole.GetView("Outer"))->definitions()[0].query));
+}
+
 TEST(AnalyzerComposeTest, ComposeViaAnalyzer) {
   Analyzer analyzer;
   Status st = analyzer.Load(R"(

@@ -4,7 +4,11 @@
 Runs the daemon twice:
 
   1. stdio mode: load a program, ask a membership question, read the live
-     stats, then request shutdown — and assert the process exits cleanly.
+     stats, load more programs (a view of the first program's views and
+     its flattened export, a load that fails on a taken view name and
+     its corrected retry, a load that reads a view relation two views
+     define differently), then request shutdown — and assert the process
+     exits cleanly.
   2. TCP mode (--listen=0): connect to the announced port, drive the same
      requests over the socket, request shutdown, and assert the server
      process exits cleanly. Skipped (without failing) if the loopback
@@ -27,6 +31,48 @@ PROGRAM_QUERIES = [
 ]
 
 
+# Loads into the workspace that example315.vcp (views V and W over
+# r(A, B, C)) started. A failed load registers nothing, so its retry
+# loads, and the session goes on after every error.
+LOAD_SESSION = [
+    {"id": 6, "method": "load",
+     "params": {"program": "view O { o := w1 * w2; }"}},
+    {"id": 7, "method": "export", "params": {"view": "O"}},
+    {"id": 8, "method": "load",
+     "params": {"program": "schema { t(A, B); } view X { x := t; } "
+                           "view V { vv := t; }"}},
+    {"id": 9, "method": "load",
+     "params": {"program": "schema { t(A, B); } view X { x := t; } "
+                           "view V2 { vv := t; }"}},
+    {"id": 10, "method": "load",
+     "params": {"program": "schema { p(A, B); q(A, B); } "
+                           "view B1 { u := p; } view A1 { u := q; } "
+                           "view C { c := u; }"}},
+    {"id": 11, "method": "list"},
+]
+
+
+def check_loads(by_id):
+    """Asserts LOAD_SESSION's replies."""
+    assert by_id[6]["result"]["ok"], by_id[6]
+    # O reads W's relations; the load flattens it to a base-level query.
+    exported = by_id[7]["result"]["output"]
+    assert "o := pi{A, B}(r) * pi{B, C}(r);" in exported, exported
+    error = by_id[8].get("error")
+    assert error and error["code"] == "IllFormed", by_id[8]
+    assert "view 'V' already defined" in error["message"], error
+    assert by_id[9]["result"]["ok"], by_id[9]
+    error = by_id[10].get("error")
+    assert error and error["code"] == "IllFormed", by_id[10]
+    assert "'u' is defined differently by views 'B1' and 'A1'" in (
+        error["message"]), error
+    listed = by_id[11]["result"]["output"]
+    for name in ("O", "X", "V2"):
+        assert f"view {name} {{" in listed, listed
+    for name in ("B1", "A1", "C"):
+        assert f"view {name} {{" not in listed, listed
+
+
 def check_replies(replies):
     """Asserts the scripted session's replies; returns None on success."""
     by_id = {r.get("id"): r for r in replies}
@@ -47,17 +93,18 @@ def run_stdio(daemon, program_path):
     with open(program_path) as f:
         program = f.read()
     requests = [{"id": 1, "method": "load", "params": {"program": program}}]
-    requests += PROGRAM_QUERIES
+    requests += PROGRAM_QUERIES + LOAD_SESSION
     requests.append({"id": 5, "method": "shutdown"})
     payload = "".join(json.dumps(r) + "\n" for r in requests)
     proc = subprocess.run([daemon], input=payload, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     replies = [json.loads(line) for line in proc.stdout.splitlines() if line]
-    assert len(replies) == 5, proc.stdout
+    assert len(replies) == len(requests), proc.stdout
     assert replies[0]["result"]["ok"], replies[0]
     check_replies(replies)
-    assert replies[4]["result"]["shutting_down"] is True
+    check_loads({r.get("id"): r for r in replies})
+    assert replies[-1]["result"]["shutting_down"] is True
     print("daemon_smoke: stdio session ok")
 
 

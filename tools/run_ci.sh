@@ -30,8 +30,10 @@ echo "== test (ci-asan) =="
 ctest --preset ci-asan
 
 # Drive the daemon end to end under ASan: scripted stdio and TCP
-# sessions (load, membership at two thread counts, live stats), then a
-# protocol shutdown — the script asserts verdicts and a clean exit.
+# sessions (load, membership at two thread counts, live stats; on stdio
+# also a views-of-views load and its export, a failed load and its
+# retry, and a load that reads an ambiguously defined view relation),
+# then a protocol shutdown — the script asserts replies and a clean exit.
 echo "== daemon smoke (viewcapd scripted session) =="
 python3 "$repo_root/tools/daemon_smoke.py" \
     "$repo_root/build-asan/tools/viewcapd" \
